@@ -246,9 +246,13 @@ type Atom struct {
 
 // Formula is a Presburger formula. Implementations: True, False, Atom
 // (via AtomF), Not, And, Or, Impl, Forall, Exists.
+//
+// Formulas are immutable. The rewriters (Subst, SubstAll, Simplify)
+// return the subtrees they leave unchanged as the same values, and may
+// return their input itself, so any formula may share structure with
+// any other: no code may mutate a formula's slices (And.Fs, Or.Fs, or
+// a LinExpr's terms) after construction.
 type Formula interface {
-	// Subst replaces every free occurrence of v by r.
-	Subst(v Var, r LinExpr) Formula
 	// FreeVars accumulates free variables into the set.
 	FreeVars(set map[Var]bool)
 	// Eval evaluates the formula under a total assignment; quantifiers
@@ -327,49 +331,79 @@ func NeExpr(a, b LinExpr) Formula { return Not{EqExpr(a, b)} }
 func Divides(m int64, e LinExpr) Formula { return AtomF{Atom{Kind: DIV, M: m, E: e}} }
 
 // Conj returns the conjunction of fs, flattening and short-circuiting.
+// A first pass sizes the result, so it is allocated once.
 func Conj(fs ...Formula) Formula {
-	var out []Formula
+	n := 0
+	var last Formula
 	for _, f := range fs {
 		switch g := f.(type) {
-		case nil:
-		case TrueF:
+		case nil, TrueF:
 		case FalseF:
 			return FalseF{}
+		case And:
+			if len(g.Fs) > 0 {
+				n += len(g.Fs)
+				last = g.Fs[len(g.Fs)-1]
+			}
+		default:
+			n++
+			last = f
+		}
+	}
+	switch n {
+	case 0:
+		return TrueF{}
+	case 1:
+		return last
+	}
+	out := make([]Formula, 0, n)
+	for _, f := range fs {
+		switch g := f.(type) {
+		case nil, TrueF:
 		case And:
 			out = append(out, g.Fs...)
 		default:
 			out = append(out, f)
 		}
 	}
-	switch len(out) {
-	case 0:
-		return TrueF{}
-	case 1:
-		return out[0]
-	}
 	return And{Fs: out}
 }
 
 // Disj returns the disjunction of fs, flattening and short-circuiting.
+// A first pass sizes the result, so it is allocated once.
 func Disj(fs ...Formula) Formula {
-	var out []Formula
+	n := 0
+	var last Formula
 	for _, f := range fs {
 		switch g := f.(type) {
-		case nil:
-		case FalseF:
+		case nil, FalseF:
 		case TrueF:
 			return TrueF{}
+		case Or:
+			if len(g.Fs) > 0 {
+				n += len(g.Fs)
+				last = g.Fs[len(g.Fs)-1]
+			}
+		default:
+			n++
+			last = f
+		}
+	}
+	switch n {
+	case 0:
+		return FalseF{}
+	case 1:
+		return last
+	}
+	out := make([]Formula, 0, n)
+	for _, f := range fs {
+		switch g := f.(type) {
+		case nil, FalseF:
 		case Or:
 			out = append(out, g.Fs...)
 		default:
 			out = append(out, f)
 		}
-	}
-	switch len(out) {
-	case 0:
-		return FalseF{}
-	case 1:
-		return out[0]
 	}
 	return Or{Fs: out}
 }
@@ -403,47 +437,86 @@ func Negate(f Formula) Formula {
 
 // --- Subst ---
 
-func (TrueF) Subst(Var, LinExpr) Formula  { return TrueF{} }
-func (FalseF) Subst(Var, LinExpr) Formula { return FalseF{} }
-
-func (a AtomF) Subst(v Var, r LinExpr) Formula {
-	return AtomF{Atom{Kind: a.A.Kind, M: a.A.M, E: a.A.E.Subst(v, r)}}
-}
-
-func (n Not) Subst(v Var, r LinExpr) Formula { return Not{n.F.Subst(v, r)} }
-
-func (a And) Subst(v Var, r LinExpr) Formula {
-	fs := make([]Formula, len(a.Fs))
-	for i, f := range a.Fs {
-		fs[i] = f.Subst(v, r)
+// mentions reports whether v is one of e's terms (the terms are sorted,
+// so the scan stops at the first larger variable).
+func (e LinExpr) mentions(v Var) bool {
+	for _, t := range e.terms {
+		if t.V >= v {
+			return t.V == v
+		}
 	}
-	return And{fs}
+	return false
 }
 
-func (o Or) Subst(v Var, r LinExpr) Formula {
-	fs := make([]Formula, len(o.Fs))
-	for i, f := range o.Fs {
-		fs[i] = f.Subst(v, r)
+// Subst replaces every free occurrence of v in f by r. Subtrees in
+// which v does not occur free come back as the same values rather than
+// copies, and f itself comes back when nothing changes.
+func Subst(f Formula, v Var, r LinExpr) Formula {
+	g, _ := subst(f, v, r)
+	return g
+}
+
+// subst is Subst that also reports whether anything changed; an
+// unchanged result is f itself.
+func subst(f Formula, v Var, r LinExpr) (Formula, bool) {
+	switch g := f.(type) {
+	case AtomF:
+		if !g.A.E.mentions(v) {
+			return f, false
+		}
+		return AtomF{Atom{Kind: g.A.Kind, M: g.A.M, E: g.A.E.Subst(v, r)}}, true
+	case Not:
+		if s, ok := subst(g.F, v, r); ok {
+			return Not{s}, true
+		}
+	case And:
+		if fs, ok := rewriteEach(g.Fs, func(s Formula) (Formula, bool) { return subst(s, v, r) }); ok {
+			return And{fs}, true
+		}
+	case Or:
+		if fs, ok := rewriteEach(g.Fs, func(s Formula) (Formula, bool) { return subst(s, v, r) }); ok {
+			return Or{fs}, true
+		}
+	case Impl:
+		a, okA := subst(g.A, v, r)
+		b, okB := subst(g.B, v, r)
+		if okA || okB {
+			return Impl{A: a, B: b}, true
+		}
+	case Forall:
+		if g.V != v {
+			if s, ok := subst(g.F, v, r); ok {
+				return Forall{V: g.V, F: s}, true
+			}
+		}
+	case Exists:
+		if g.V != v {
+			if s, ok := subst(g.F, v, r); ok {
+				return Exists{V: g.V, F: s}, true
+			}
+		}
 	}
-	return Or{fs}
+	return f, false
 }
 
-func (i Impl) Subst(v Var, r LinExpr) Formula {
-	return Impl{A: i.A.Subst(v, r), B: i.B.Subst(v, r)}
-}
-
-func (q Forall) Subst(v Var, r LinExpr) Formula {
-	if q.V == v {
-		return q
+// rewriteEach applies rw to every formula of fs. When no result changed
+// it returns fs itself; otherwise a new slice that shares the unchanged
+// elements.
+func rewriteEach(fs []Formula, rw func(Formula) (Formula, bool)) ([]Formula, bool) {
+	for i, s := range fs {
+		t, ok := rw(s)
+		if !ok {
+			continue
+		}
+		out := make([]Formula, len(fs))
+		copy(out, fs[:i])
+		out[i] = t
+		for j := i + 1; j < len(fs); j++ {
+			out[j], _ = rw(fs[j])
+		}
+		return out, true
 	}
-	return Forall{V: q.V, F: q.F.Subst(v, r)}
-}
-
-func (q Exists) Subst(v Var, r LinExpr) Formula {
-	if q.V == v {
-		return q
-	}
-	return Exists{V: q.V, F: q.F.Subst(v, r)}
+	return fs, false
 }
 
 // substMap applies a parallel substitution to e: every term whose
@@ -477,42 +550,52 @@ func (e LinExpr) substMap(sub map[Var]LinExpr) (LinExpr, bool) {
 // each atom's images are read from the unsubstituted atom, so
 // substitution targets may freely mention substituted variables. (This
 // used to be simulated with a rename-through-temporaries pass, costing
-// two full formula rebuilds per substituted variable.)
+// two full formula rebuilds per substituted variable.) Like Subst, it
+// shares every subtree it does not change.
 func SubstAll(f Formula, sub map[Var]LinExpr) Formula {
+	g, _ := substAll(f, sub)
+	return g
+}
+
+// substAll is SubstAll that also reports whether anything changed; an
+// unchanged result is f itself.
+func substAll(f Formula, sub map[Var]LinExpr) (Formula, bool) {
 	if len(sub) == 0 {
-		return f
+		return f, false
 	}
 	switch g := f.(type) {
-	case TrueF, FalseF:
-		return f
 	case AtomF:
-		e, changed := g.A.E.substMap(sub)
-		if !changed {
-			return f
+		if e, ok := g.A.E.substMap(sub); ok {
+			return AtomF{Atom{Kind: g.A.Kind, M: g.A.M, E: e}}, true
 		}
-		return AtomF{Atom{Kind: g.A.Kind, M: g.A.M, E: e}}
 	case Not:
-		return Not{SubstAll(g.F, sub)}
+		if s, ok := substAll(g.F, sub); ok {
+			return Not{s}, true
+		}
 	case And:
-		fs := make([]Formula, len(g.Fs))
-		for i, s := range g.Fs {
-			fs[i] = SubstAll(s, sub)
+		if fs, ok := rewriteEach(g.Fs, func(s Formula) (Formula, bool) { return substAll(s, sub) }); ok {
+			return And{fs}, true
 		}
-		return And{fs}
 	case Or:
-		fs := make([]Formula, len(g.Fs))
-		for i, s := range g.Fs {
-			fs[i] = SubstAll(s, sub)
+		if fs, ok := rewriteEach(g.Fs, func(s Formula) (Formula, bool) { return substAll(s, sub) }); ok {
+			return Or{fs}, true
 		}
-		return Or{fs}
 	case Impl:
-		return Impl{A: SubstAll(g.A, sub), B: SubstAll(g.B, sub)}
+		a, okA := substAll(g.A, sub)
+		b, okB := substAll(g.B, sub)
+		if okA || okB {
+			return Impl{A: a, B: b}, true
+		}
 	case Forall:
-		return Forall{V: g.V, F: SubstAll(g.F, substWithout(sub, g.V))}
+		if s, ok := substAll(g.F, substWithout(sub, g.V)); ok {
+			return Forall{V: g.V, F: s}, true
+		}
 	case Exists:
-		return Exists{V: g.V, F: SubstAll(g.F, substWithout(sub, g.V))}
+		if s, ok := substAll(g.F, substWithout(sub, g.V)); ok {
+			return Exists{V: g.V, F: s}, true
+		}
 	}
-	return f
+	return f, false
 }
 
 // substWithout drops the binding for v (the bound variable shadows it),
@@ -552,21 +635,51 @@ func (o Or) FreeVars(set map[Var]bool) {
 	}
 }
 func (i Impl) FreeVars(set map[Var]bool) { i.A.FreeVars(set); i.B.FreeVars(set) }
-func (q Forall) FreeVars(set map[Var]bool) {
-	inner := make(map[Var]bool)
-	q.F.FreeVars(inner)
-	delete(inner, q.V)
-	for v := range inner {
-		set[v] = true
+
+// A quantifier's body adds its free variables to the caller's set
+// directly; the bound variable's entry is then put back as it was, so an
+// occurrence free elsewhere in the enclosing formula survives.
+func (q Forall) FreeVars(set map[Var]bool) { boundFreeVars(q.V, q.F, set) }
+func (q Exists) FreeVars(set map[Var]bool) { boundFreeVars(q.V, q.F, set) }
+
+func boundFreeVars(v Var, body Formula, set map[Var]bool) {
+	prev, had := set[v]
+	body.FreeVars(set)
+	if had {
+		set[v] = prev
+	} else {
+		delete(set, v)
 	}
 }
-func (q Exists) FreeVars(set map[Var]bool) {
-	inner := make(map[Var]bool)
-	q.F.FreeVars(inner)
-	delete(inner, q.V)
-	for v := range inner {
-		set[v] = true
+
+// Occurs reports whether v occurs free in f: FreeVars for one variable,
+// without building a set, stopping at the first occurrence.
+func Occurs(f Formula, v Var) bool {
+	switch g := f.(type) {
+	case AtomF:
+		return g.A.E.mentions(v)
+	case Not:
+		return Occurs(g.F, v)
+	case And:
+		for _, s := range g.Fs {
+			if Occurs(s, v) {
+				return true
+			}
+		}
+	case Or:
+		for _, s := range g.Fs {
+			if Occurs(s, v) {
+				return true
+			}
+		}
+	case Impl:
+		return Occurs(g.A, v) || Occurs(g.B, v)
+	case Forall:
+		return g.V != v && Occurs(g.F, v)
+	case Exists:
+		return g.V != v && Occurs(g.F, v)
 	}
+	return false
 }
 
 // FreeVarsOf returns the sorted free variables of f.

@@ -228,55 +228,88 @@ func DNFFormula(cs []Clause) Formula {
 // that share a linear part. It never changes the meaning of the formula.
 // The verifier applies it at junction points during back-substitution to
 // control formula growth (Section 5.2.1, fifth enhancement).
+//
+// Subtrees that Simplify leaves unchanged come back as the same values,
+// so a formula already at Simplify's fixed point comes back as f
+// itself, without allocating. One pass does not always reach that
+// point: normalizing a divisibility atom can leave a constant one (2 | 2x
+// becomes 2 | 0) that only the next pass folds.
 func Simplify(f Formula) Formula {
-	switch g := f.(type) {
-	case AtomF:
-		return simplifyAtom(g.A)
-	case Not:
-		return Negate(Simplify(g.F))
-	case And:
-		return simplifyAnd(g.Fs)
-	case Or:
-		return simplifyOr(g.Fs)
-	case Impl:
-		a, b := Simplify(g.A), Simplify(g.B)
-		if Equal(a, b) {
-			return TrueF{}
-		}
-		return Implies(a, b)
-	case Forall:
-		inner := Simplify(g.F)
-		set := make(map[Var]bool)
-		inner.FreeVars(set)
-		if !set[g.V] {
-			return inner
-		}
-		return Forall{V: g.V, F: inner}
-	case Exists:
-		inner := Simplify(g.F)
-		set := make(map[Var]bool)
-		inner.FreeVars(set)
-		if !set[g.V] {
-			return inner
-		}
-		return Exists{V: g.V, F: inner}
-	}
-	return f
+	g, _ := simplify(f)
+	return g
 }
 
-func simplifyAtom(a Atom) Formula {
+// simplify is Simplify that also reports whether the result differs
+// from f; an unchanged result is f itself.
+func simplify(f Formula) (Formula, bool) {
+	switch g := f.(type) {
+	case AtomF:
+		return simplifyAtom(f, g.A)
+	case Not:
+		s, changed := simplify(g.F)
+		switch s.(type) {
+		case TrueF, FalseF, Not:
+			return Negate(s), true
+		}
+		if changed {
+			return Not{s}, true
+		}
+	case And:
+		return simplifyAnd(f, g.Fs)
+	case Or:
+		return simplifyOr(f, g.Fs)
+	case Impl:
+		a, changedA := simplify(g.A)
+		b, changedB := simplify(g.B)
+		if Equal(a, b) {
+			return TrueF{}, true
+		}
+		switch a.(type) {
+		case TrueF, FalseF:
+			return Implies(a, b), true
+		}
+		if _, ok := b.(TrueF); ok {
+			return TrueF{}, true
+		}
+		if changedA || changedB {
+			return Impl{A: a, B: b}, true
+		}
+	case Forall:
+		inner, changed := simplify(g.F)
+		if !Occurs(inner, g.V) {
+			return inner, true
+		}
+		if changed {
+			return Forall{V: g.V, F: inner}, true
+		}
+	case Exists:
+		inner, changed := simplify(g.F)
+		if !Occurs(inner, g.V) {
+			return inner, true
+		}
+		if changed {
+			return Exists{V: g.V, F: inner}, true
+		}
+	}
+	return f, false
+}
+
+// simplifyAtom folds a constant atom to true or false and otherwise
+// normalizes it; f is the atom's own formula value, returned as is when
+// the atom is already in normal form.
+func simplifyAtom(f Formula, a Atom) (Formula, bool) {
 	if c, ok := a.E.IsConst(); ok {
 		switch a.Kind {
 		case GE:
 			if c >= 0 {
-				return TrueF{}
+				return TrueF{}, true
 			}
-			return FalseF{}
+			return FalseF{}, true
 		case EQ:
 			if c == 0 {
-				return TrueF{}
+				return TrueF{}, true
 			}
-			return FalseF{}
+			return FalseF{}, true
 		case DIV:
 			m := a.M
 			if m < 0 {
@@ -284,18 +317,52 @@ func simplifyAtom(a Atom) Formula {
 			}
 			if m == 0 {
 				if c == 0 {
-					return TrueF{}
+					return TrueF{}, true
 				}
-				return FalseF{}
+				return FalseF{}, true
 			}
 			if c%m == 0 {
-				return TrueF{}
+				return TrueF{}, true
 			}
-			return FalseF{}
+			return FalseF{}, true
 		}
 	}
-	// Normalize by gcd of coefficients.
-	return AtomF{normalizeAtom(a)}
+	if atomNormal(a) {
+		return f, false
+	}
+	return AtomF{normalizeAtom(a)}, true
+}
+
+// atomNormal reports whether normalizeAtom would return a unchanged,
+// without building the normalized copy.
+func atomNormal(a Atom) bool {
+	switch a.Kind {
+	case GE:
+		return coefGCD(a.E) <= 1
+	case EQ:
+		g := coefGCD(a.E)
+		return g <= 1 || a.E.Const%g != 0
+	case DIV:
+		if a.M <= 0 {
+			return false
+		}
+		for _, t := range a.E.terms {
+			if t.C <= 0 || t.C >= a.M {
+				return false
+			}
+		}
+		return a.E.Const >= 0 && a.E.Const < a.M
+	}
+	return true
+}
+
+// coefGCD returns the gcd of e's coefficients (0 for a constant).
+func coefGCD(e LinExpr) int64 {
+	g := int64(0)
+	for _, t := range e.terms {
+		g = gcd(g, t.C)
+	}
+	return g
 }
 
 func gcd(a, b int64) int64 {
@@ -317,11 +384,7 @@ func gcd(a, b int64) int64 {
 func normalizeAtom(a Atom) Atom {
 	switch a.Kind {
 	case GE:
-		g := int64(0)
-		for _, t := range a.E.terms {
-			g = gcd(g, t.C)
-		}
-		if g > 1 {
+		if g := coefGCD(a.E); g > 1 {
 			ts := make([]VarTerm, len(a.E.terms))
 			for i, t := range a.E.terms {
 				ts[i] = VarTerm{V: t.V, C: t.C / g}
@@ -329,11 +392,7 @@ func normalizeAtom(a Atom) Atom {
 			return Atom{Kind: GE, E: LinExpr{terms: ts, Const: floorDiv(a.E.Const, g)}}
 		}
 	case EQ:
-		g := int64(0)
-		for _, t := range a.E.terms {
-			g = gcd(g, t.C)
-		}
-		if g > 1 && a.E.Const%g == 0 {
+		if g := coefGCD(a.E); g > 1 && a.E.Const%g == 0 {
 			ts := make([]VarTerm, len(a.E.terms))
 			for i, t := range a.E.terms {
 				ts[i] = VarTerm{V: t.V, C: t.C / g}
@@ -378,118 +437,232 @@ func mod(a, m int64) int64 {
 	return r
 }
 
-func simplifyAnd(fs []Formula) Formula {
-	var flat []Formula
-	for _, f := range fs {
-		s := Simplify(f)
+// shareList builds the simplified child list of a conjunction or
+// disjunction. While every child comes back unchanged it is only a
+// prefix count of the original slice; the first difference (a changed,
+// dropped, merged, or flattened child) copies that prefix into a slice
+// of its own.
+type shareList struct {
+	src    []Formula
+	out    []Formula // the list once copied
+	n      int       // the list is src[:n] while not copied
+	copied bool
+}
+
+// push appends x. same reports that x is the unchanged src element at
+// the list's own position (the next child of an uncopied list).
+func (l *shareList) push(x Formula, same bool) {
+	if !l.copied && same {
+		l.n++
+		return
+	}
+	l.fork()
+	l.out = append(l.out, x)
+}
+
+// fork copies the list out of src; callers about to drop, replace, or
+// insert an element call it first.
+func (l *shareList) fork() {
+	if !l.copied {
+		l.out = make([]Formula, l.n, len(l.src))
+		copy(l.out, l.src[:l.n])
+		l.copied = true
+	}
+}
+
+func (l *shareList) len() int {
+	if l.copied {
+		return len(l.out)
+	}
+	return l.n
+}
+
+func (l *shareList) at(i int) Formula {
+	if l.copied {
+		return l.out[i]
+	}
+	return l.src[i]
+}
+
+func (l *shareList) set(i int, x Formula) {
+	l.fork()
+	l.out[i] = x
+}
+
+// fpInline is how many fingerprints an fpIndex holds in its fixed array
+// before switching to a map.
+const fpInline = 8
+
+// fpIndex maps fingerprints to list positions: a linear scan over a
+// fixed array for the first fpInline keys, so the common small
+// conjunction allocates nothing, and a map past that, so a large one
+// never turns quadratic.
+type fpIndex struct {
+	n    int
+	keys [fpInline]FP
+	pos  [fpInline]int
+	m    map[FP]int
+}
+
+func (t *fpIndex) get(k FP) (int, bool) {
+	if t.m != nil {
+		p, ok := t.m[k]
+		return p, ok
+	}
+	for i := 0; i < t.n; i++ {
+		if t.keys[i] == k {
+			return t.pos[i], true
+		}
+	}
+	return 0, false
+}
+
+// add records a key that get just reported absent.
+func (t *fpIndex) add(k FP, p int) {
+	if t.m == nil && t.n < fpInline {
+		t.keys[t.n], t.pos[t.n] = k, p
+		t.n++
+		return
+	}
+	if t.m == nil {
+		t.m = make(map[FP]int, 2*fpInline)
+		for i := 0; i < t.n; i++ {
+			t.m[t.keys[i]] = t.pos[i]
+		}
+	}
+	t.m[k] = p
+}
+
+// dedupList is a shareList that drops exact repeats: seen maps a
+// fingerprint to the position of the element it was first seen on, and
+// every match is verified with Equal, so a collision keeps both.
+type dedupList struct {
+	shareList
+	seen fpIndex
+}
+
+func (d *dedupList) add(x Formula, same bool) {
+	key := Fingerprint(x)
+	if j, ok := d.seen.get(key); ok {
+		if Equal(d.at(j), x) {
+			d.fork() // x itself is dropped
+			return
+		}
+	} else {
+		d.seen.add(key, d.len())
+	}
+	d.push(x, same)
+}
+
+// conjBuilder accumulates a simplified conjunction: GE atoms with the
+// same linear part keep only the strongest (best maps a variable-part
+// fingerprint to the position of its first such atom, every match
+// verified against the coefficients, so a collision degrades to "no
+// subsumption"), and other conjuncts are deduplicated.
+type conjBuilder struct {
+	dedupList
+	best fpIndex
+}
+
+func (b *conjBuilder) add(x Formula, same bool) {
+	a, ok := x.(AtomF)
+	if !ok || a.A.Kind != GE {
+		b.dedupList.add(x, same)
+		return
+	}
+	key := VarPartFP(a.A.E, false)
+	if j, ok := b.best.get(key); ok {
+		if prev, okA := b.at(j).(AtomF); okA && SameVarPart(prev.A.E, a.A.E, false) {
+			// Same linear part: e + c1 >= 0 and e + c2 >= 0; the
+			// conjunction is e + min(c1,c2) >= 0.
+			if a.A.E.Const < prev.A.E.Const {
+				b.set(j, x)
+			}
+			b.fork() // x itself is dropped
+			return
+		}
+	} else {
+		b.best.add(key, b.len())
+	}
+	b.push(x, same)
+}
+
+func simplifyAnd(f Formula, fs []Formula) (Formula, bool) {
+	b := conjBuilder{dedupList: dedupList{shareList: shareList{src: fs}}}
+	for _, c := range fs {
+		s, changed := simplify(c)
 		switch g := s.(type) {
-		case TrueF:
+		case nil, TrueF:
+			b.fork()
 		case FalseF:
-			return FalseF{}
+			return FalseF{}, true
 		case And:
-			flat = append(flat, g.Fs...)
+			b.fork()
+			for _, sub := range g.Fs {
+				b.add(sub, false)
+			}
 		default:
-			flat = append(flat, s)
+			b.add(s, !changed)
 		}
-	}
-	// Subsume GE atoms with identical linear parts: keep the strongest
-	// (largest constant requirement means smallest Const since e+c>=0).
-	// Linear parts are matched by commutative fingerprint; every match
-	// is verified against the actual coefficients, so a fingerprint
-	// collision degrades to "no subsumption", never to a wrong merge.
-	best := make(map[FP]int) // variable-part fingerprint -> index in out
-	var out []Formula
-	seen := make(map[FP]Formula)
-	dedup := func(f Formula) {
-		key := Fingerprint(f)
-		if prev, ok := seen[key]; ok {
-			if Equal(prev, f) {
-				return
-			}
-		} else {
-			seen[key] = f
-		}
-		out = append(out, f)
-	}
-	for _, f := range flat {
-		if a, ok := f.(AtomF); ok && a.A.Kind == GE {
-			key := VarPartFP(a.A.E, false)
-			if j, ok2 := best[key]; ok2 {
-				if prev, okA := out[j].(AtomF); okA && SameVarPart(prev.A.E, a.A.E, false) {
-					// Same linear part: e + c1 >= 0 and e + c2 >= 0; the
-					// conjunction is e + min(c1,c2) >= 0.
-					if a.A.E.Const < prev.A.E.Const {
-						out[j] = f
-					}
-					continue
-				}
-				out = append(out, f)
-				continue
-			}
-			best[key] = len(out)
-			out = append(out, f)
-			continue
-		}
-		dedup(f)
 	}
 	// Detect e >= 0 ∧ -e >= 0 pairs => e = 0, and direct contradictions
 	// e + c >= 0 ∧ -e - c' >= 0 with c' > c.
-	for i, f := range out {
-		a, ok := f.(AtomF)
+	for i := 0; i < b.len(); i++ {
+		a, ok := b.at(i).(AtomF)
 		if !ok || a.A.Kind != GE {
 			continue
 		}
-		if j, ok2 := best[VarPartFP(a.A.E, true)]; ok2 && j != i {
-			b, okB := out[j].(AtomF)
-			if !okB || !SameVarPart(b.A.E, a.A.E, true) {
+		if j, ok2 := b.best.get(VarPartFP(a.A.E, true)); ok2 && j != i {
+			bj, okB := b.at(j).(AtomF)
+			if !okB || !SameVarPart(bj.A.E, a.A.E, true) {
 				continue
 			}
-			// a: e + c >= 0 ; b: -e + d >= 0 i.e. e <= d
+			// a: e + c >= 0 ; bj: -e + d >= 0 i.e. e <= d
 			// contradiction if -c > d
-			if -a.A.E.Const > b.A.E.Const {
-				return FalseF{}
+			if -a.A.E.Const > bj.A.E.Const {
+				return FalseF{}, true
 			}
-			if -a.A.E.Const == b.A.E.Const {
+			if -a.A.E.Const == bj.A.E.Const && i < j {
 				// e = -c exactly
-				if i < j {
-					out[i] = AtomF{Atom{Kind: EQ, E: a.A.E}}
-					out[j] = TrueF{}
-				}
+				b.set(i, AtomF{Atom{Kind: EQ, E: a.A.E}})
+				b.set(j, TrueF{})
 			}
 		}
 	}
-	return Conj(out...)
+	if b.copied {
+		return Conj(b.out...), true
+	}
+	if len(fs) >= 2 {
+		return f, false
+	}
+	return Conj(fs...), true
 }
 
-func simplifyOr(fs []Formula) Formula {
-	var flat []Formula
-	seen := make(map[FP]Formula)
-	add := func(f Formula) {
-		key := Fingerprint(f)
-		if prev, ok := seen[key]; ok {
-			if Equal(prev, f) {
-				return
-			}
-		} else {
-			seen[key] = f
-		}
-		flat = append(flat, f)
-	}
-	for _, f := range fs {
-		s := Simplify(f)
+func simplifyOr(f Formula, fs []Formula) (Formula, bool) {
+	d := dedupList{shareList: shareList{src: fs}}
+	for _, c := range fs {
+		s, changed := simplify(c)
 		switch g := s.(type) {
-		case FalseF:
+		case nil, FalseF:
+			d.fork()
 		case TrueF:
-			return TrueF{}
+			return TrueF{}, true
 		case Or:
+			d.fork()
 			for _, sub := range g.Fs {
-				add(sub)
+				d.add(sub, false)
 			}
 		default:
-			add(s)
+			d.add(s, !changed)
 		}
 	}
-	return Disj(flat...)
+	if d.copied {
+		return Disj(d.out...), true
+	}
+	if len(fs) >= 2 {
+		return f, false
+	}
+	return Disj(fs...), true
 }
 
 // Size returns the number of atoms and connectives in f, used by the

@@ -26,7 +26,7 @@ func TestSec522Trace(t *testing.T) {
 	body := func(w expr.Formula) expr.Formula {
 		// One iteration: %g3' = %g3 + 1; the back edge is taken when
 		// %g3' < %o1 (the bl at line 10); exits contribute true.
-		wShift := w.Subst(g3, expr.V(g3).AddConst(1))
+		wShift := expr.Subst(w, g3, expr.V(g3).AddConst(1))
 		return expr.Implies(expr.LtExpr(expr.V(g3).AddConst(1), o1), wShift)
 	}
 
@@ -80,7 +80,7 @@ func TestSec522NeedsGeneralization(t *testing.T) {
 
 	w0 := expr.LtExpr(expr.V(g3), n)
 	body := func(w expr.Formula) expr.Formula {
-		wShift := w.Subst(g3, expr.V(g3).AddConst(1))
+		wShift := expr.Subst(w, g3, expr.V(g3).AddConst(1))
 		return expr.Implies(expr.LtExpr(expr.V(g3).AddConst(1), o1), wShift)
 	}
 	init := expr.Conj(
@@ -211,7 +211,7 @@ func TestStatsAccumulate(t *testing.T) {
 		First: func(expr.Formula) expr.Formula { return w0 },
 		Next: func(b expr.Formula) expr.Formula {
 			return expr.Implies(expr.LtExpr(expr.V(g3).AddConst(1), expr.V(expr.Var("m"))),
-				b.Subst(g3, expr.V(g3).AddConst(1)))
+				expr.Subst(b, g3, expr.V(g3).AddConst(1)))
 		},
 		ModifiedVars: []expr.Var{g3},
 	}

@@ -40,9 +40,7 @@ func (p *Prover) PruneQuant(f expr.Formula) expr.Formula {
 		return expr.Negate(p.pruneHyp(g.F))
 	case expr.Forall:
 		body := p.PruneQuant(g.F)
-		free := map[expr.Var]bool{}
-		body.FreeVars(free)
-		if !free[g.V] {
+		if !expr.Occurs(body, g.V) {
 			return body
 		}
 		switch b := body.(type) {
@@ -54,9 +52,7 @@ func (p *Prover) PruneQuant(f expr.Formula) expr.Formula {
 			}
 			return expr.Conj(fs...)
 		case expr.Impl:
-			bf := map[expr.Var]bool{}
-			b.B.FreeVars(bf)
-			if !bf[g.V] {
+			if !expr.Occurs(b.B, g.V) {
 				// ∀v.(A → B) = (∃v.A) → B when v ∉ B.
 				hyp := p.pruneHyp(expr.Exists{V: g.V, F: b.A})
 				return expr.Implies(hyp, b.B)
@@ -65,9 +61,7 @@ func (p *Prover) PruneQuant(f expr.Formula) expr.Formula {
 		return expr.Forall{V: g.V, F: body}
 	case expr.Exists:
 		body := p.PruneQuant(g.F)
-		free := map[expr.Var]bool{}
-		body.FreeVars(free)
-		if !free[g.V] {
+		if !expr.Occurs(body, g.V) {
 			return body
 		}
 		return expr.Exists{V: g.V, F: body}
@@ -84,9 +78,7 @@ func (p *Prover) pruneHyp(f expr.Formula) expr.Formula {
 	switch g := f.(type) {
 	case expr.Exists:
 		body := p.pruneHyp(g.F)
-		free := map[expr.Var]bool{}
-		body.FreeVars(free)
-		if !free[g.V] {
+		if !expr.Occurs(body, g.V) {
 			return body
 		}
 		if q, ok := p.qe(expr.NNF(expr.Exists{V: g.V, F: body}), true); ok {

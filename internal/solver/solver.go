@@ -87,6 +87,10 @@ type Prover struct {
 	cache  map[expr.FP]privEntry // private cache; nil when shared is set
 	shared *ShardedCache         // concurrency-safe cache shared across provers
 
+	// scratch is the DNF walker's working storage, lent to each walk
+	// and taken back after it (see walkScratch).
+	scratch walkScratch
+
 	// clauseMemo memoizes clauseUnsat by clause fingerprint, always
 	// private (per-goroutine) state. Entries record the elimination
 	// count of the memoized run so a hit replays it into Stats; see
@@ -208,8 +212,9 @@ func (p *Prover) valid(f expr.Formula) bool {
 	// first satisfiable one aborts the search exactly where the
 	// materializing expansion would have stopped scanning its list.
 	root := compileDNF(expr.NNF(neg))
-	w := dnfWalker{p: p}
+	w := dnfWalker{p: p, walkScratch: p.lendScratch()}
 	ok := w.walk(root, nil)
+	p.scratch = w.walkScratch
 	if w.tripped {
 		return false // interrupted: conservatively "not proved"
 	}
@@ -217,12 +222,36 @@ func (p *Prover) valid(f expr.Formula) bool {
 		p.Stats.DNFBlowups++
 		return false
 	}
-	e := dnfWalker{p: p, eliminate: true}
+	e := dnfWalker{p: p, eliminate: true, walkScratch: p.lendScratch()}
 	ok = e.walk(root, nil)
+	p.scratch = e.walkScratch
 	if e.tripped {
 		return false
 	}
 	return ok
+}
+
+// walkScratch is a dnfWalker's working storage: the clause prefix on
+// the current path, its incremental fingerprints, the bounds map with
+// its undo log, and the continuation freelist. A walk unwinds all of
+// it to empty on every return path, so each Prover keeps one set and
+// lends it to every walk instead of regrowing the buffers per query.
+type walkScratch struct {
+	prefix    expr.Clause
+	fps       []expr.FP // fps[i]: incremental clause FP over prefix[:i+1]
+	bounds    map[expr.FP]fastBound
+	undo      []boundUndo
+	freeConts *conjCont
+}
+
+// lendScratch returns the prover's walker storage, emptied. A walk
+// always unwinds it, but one cut short by a contained panic would not
+// have, so it is reset here rather than trusted.
+func (p *Prover) lendScratch() walkScratch {
+	s := p.scratch
+	s.prefix, s.fps, s.undo = s.prefix[:0], s.fps[:0], s.undo[:0]
+	clear(s.bounds)
+	return s
 }
 
 // dnfWalker enumerates the DNF clauses of a quantifier-free NNF
@@ -233,11 +262,8 @@ func (p *Prover) valid(f expr.Formula) bool {
 // backtracking restores it in O(changes). A contradiction raised while
 // pushing an atom prunes the entire subtree under it.
 type dnfWalker struct {
-	p      *Prover
-	prefix expr.Clause
-	fps    []expr.FP // fps[i]: incremental clause FP over prefix[:i+1]
-	bounds map[expr.FP]fastBound
-	undo   []boundUndo
+	p *Prover
+	walkScratch
 	// visits counts completed branches — surviving leaves plus pruned
 	// subtrees. Capped at MaxDNFClauses so the walk never does more
 	// branch-work than the materializing expansion would have: a prune
@@ -246,10 +272,6 @@ type dnfWalker struct {
 	// before gets its grace budget spent on (cheap) prunes and may now
 	// resolve if its contradictions sit near the root.
 	visits int
-	// freeConts recycles continuation frames: the DFS allocates and
-	// releases them in LIFO order, so a freelist caps allocations at
-	// the maximum conjunction-nesting depth instead of one per branch.
-	freeConts *conjCont
 	// eliminate selects the second pass: leaves run clause elimination
 	// in place (aborting the walk at the first satisfiable clause)
 	// instead of being counted, and the budget/prune counters are left
@@ -374,6 +396,9 @@ func compileKids(fs []expr.Formula) []wNode {
 
 // conjCont is the continuation of a conjunction: the remaining
 // conjuncts to expand once the current subformula's clauses complete.
+// The DFS allocates and releases them in LIFO order, so the freelist in
+// walkScratch caps allocations at the maximum conjunction-nesting depth
+// instead of one per branch.
 type conjCont struct {
 	fs   []wNode
 	next *conjCont

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mcsafe/internal/expr"
+	"mcsafe/internal/faults"
 )
 
 func genLin(r *rand.Rand) expr.LinExpr {
@@ -192,5 +193,41 @@ func TestClauseMemoReplayIdentity(t *testing.T) {
 	p.clauseUnsatMemo(key, other)
 	if p.Stats.FMPrefixReuses != before {
 		t.Fatal("colliding key with different clause was answered from the memo")
+	}
+}
+
+// TestWalkScratchReuse: the walker's buffers live on the prover and are
+// lent to every walk. One prover answering a corpus in sequence must
+// agree with a fresh prover per query, and a walk cut short by a
+// contained panic must leave nothing behind for the next one.
+func TestWalkScratchReuse(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	shared := New()
+	for i := 0; i < 500; i++ {
+		f := expr.DNFFormula([]expr.Clause{genClause(r), genClause(r), genClause(r)})
+		if got, want := shared.Valid(f), New().Valid(f); got != want {
+			t.Fatalf("query %d: reused walker says valid=%v, fresh prover %v: %v", i, got, want, f)
+		}
+	}
+
+	p := New()
+	p.Valid(expr.Ge(expr.V("z"))) // a finished walk leaves the prover its bounds map
+	// ¬f is x >= 5 ∧ y >= 0: the walk records both bounds, then its
+	// first leaf takes the query's second solver step and panics there.
+	f := expr.Disj(expr.Ge(expr.V("x").Scale(-1).AddConst(4)), expr.Ge(expr.V("y").Scale(-1).AddConst(-1)))
+	restore := faults.Activate(faults.NewPlan(faults.Fault{Point: faults.SolverStep, Kind: faults.Panic, After: 2}))
+	func() {
+		defer func() {
+			if _, ok := recover().(faults.InjectedPanic); !ok {
+				t.Fatal("the walk did not stop at the injected panic")
+			}
+		}()
+		p.Valid(f)
+	}()
+	restore()
+	// A stale x >= 5 would refute ¬(x >= 3), i.e. x <= 2, and so prove
+	// x >= 3 valid.
+	if p.Valid(expr.Ge(expr.V("x").AddConst(-3))) {
+		t.Fatal("x >= 3 proved valid after a contained panic: the walker kept the interrupted walk's bounds")
 	}
 }

@@ -123,8 +123,11 @@ type Engine struct {
 	entryCache *solver.ShardedCache
 	crossCache map[expr.FP]expr.Formula
 	// entryActive breaks recursion cycles between loop crossings and
-	// their entry checks (a cycle answers false: conservative).
+	// their entry checks (a cycle answers false: conservative). cuts
+	// counts the cycles it has broken, so provedCached can tell a verdict
+	// that leaned on one.
 	entryActive map[expr.FP]bool
+	cuts        int
 	// shared, when non-nil, replaces the bool-valued caches with the
 	// pool's, shared across a worker pool's engines. Only the bool
 	// caches are shareable: their keys embed the complete formula (by
@@ -338,10 +341,14 @@ func (e *Engine) proveSequential(ctx context.Context, conds []*annotate.GlobalCo
 // delay draining the check.
 func (e *Engine) stopped() bool { return e.P.Stopped() }
 
-// provedCached runs proveAt through the per-query cache. Verdicts
-// reached after the prover tripped are conservative but
-// budget-dependent — not facts about the formula — so they are never
-// cached (the cache must hold only merits verdicts).
+// provedCached runs proveAt through the per-query cache, for top-level
+// conditions and call-site requirements alike. The cache must hold only
+// context-free merits verdicts, so two kinds are never stored:
+//   - a verdict reached after the prover tripped is conservative but
+//     budget-dependent, not a fact about the formula;
+//   - a verdict reached after a loop-entry cycle cut (entryActive) fired
+//     during its computation answered false for a query that was only
+//     open because of the enclosing proof, so it depends on that proof.
 func (e *Engine) provedCached(node int, after bool, f expr.Formula) bool {
 	if e.stopped() {
 		return false
@@ -359,8 +366,9 @@ func (e *Engine) provedCached(node int, after bool, f expr.Formula) bool {
 		e.Stats.CacheHits++
 		return v
 	}
+	cuts := e.cuts
 	v := e.proveAt(node, after, f)
-	if !e.stopped() {
+	if !e.stopped() && e.cuts == cuts {
 		cache.Put(key, salt, f, v)
 	}
 	return v
@@ -474,6 +482,7 @@ func (e *Engine) proveAtLoopEntry(l *cfg.Loop, w expr.Formula) bool {
 		return v
 	}
 	if e.entryActive[key] {
+		e.cuts++
 		return false
 	}
 	e.entryActive[key] = true
@@ -519,7 +528,9 @@ func (e *Engine) proveAtLoopEntryUncached(l *cfg.Loop, w expr.Formula) bool {
 // against the initial annotations for the program's entry procedure, and
 // at every call site otherwise (Section 5.2.1: "when we reach the entry
 // of a procedure, we check that the conditions are true at each
-// call site").
+// call site"). A call-site requirement is a query like any other, so it
+// goes through the query cache: one check that reaches the same
+// requirement at the same site again answers it from there.
 func (e *Engine) proveAtProcEntry(proc *cfg.Proc, g expr.Formula) bool {
 	g = expr.Simplify(g)
 	if _, isTrue := g.(expr.TrueF); isTrue {
@@ -534,7 +545,7 @@ func (e *Engine) proveAtProcEntry(proc *cfg.Proc, g expr.Formula) bool {
 		return true
 	}
 	for _, site := range sites {
-		if !e.proveAt(site.DelayNode, true, g) {
+		if !e.provedCached(site.DelayNode, true, g) {
 			return false
 		}
 	}

@@ -22,13 +22,11 @@ func (e *Engine) freshVar(hint string) expr.Var {
 // the resulting formula is used as a hypothesis (e.g. W(i) chains in
 // induction iteration over values loaded from summary locations).
 func (e *Engine) havoc(f expr.Formula, v expr.Var, hint string) expr.Formula {
-	free := map[expr.Var]bool{}
-	f.FreeVars(free)
-	if !free[v] {
+	if !expr.Occurs(f, v) {
 		return f
 	}
 	nv := e.freshVar(hint)
-	return expr.Forall{V: nv, F: f.Subst(v, expr.V(nv))}
+	return expr.Forall{V: nv, F: expr.Subst(f, v, expr.V(nv))}
 }
 
 // havocAll applies havoc over a set of variables.
@@ -43,10 +41,10 @@ func (e *Engine) havocAll(f expr.Formula, vars []expr.Var, hint string) expr.For
 // actually occurring free). Used after a parallel SubstAll that mapped
 // clobbered variables to fresh ones.
 func closeFresh(f expr.Formula, vars []expr.Var) expr.Formula {
-	free := map[expr.Var]bool{}
-	f.FreeVars(free)
 	for _, v := range vars {
-		if free[v] {
+		// The vars are distinct, so wrapping f in an earlier one's
+		// quantifier does not change whether a later one occurs.
+		if expr.Occurs(f, v) {
 			f = expr.Forall{V: v, F: f}
 		}
 	}
@@ -175,7 +173,7 @@ func (e *Engine) wlpInsn(id int, f expr.Formula) expr.Formula {
 			return f
 		}
 		if res, ok := e.linAt(assign.Src, d); ok {
-			return f.Subst(e.rm.Var(rd, d-1), res)
+			return expr.Subst(f, e.rm.Var(rd, d-1), res)
 		}
 		return e.havoc(f, e.rm.Var(rd, d-1), "r")
 	}
@@ -325,7 +323,7 @@ func (e *Engine) wlpLoad(id int, dst rtl.Reg, f expr.Formula) expr.Formula {
 		if t.Summary {
 			terms = append(terms, e.havoc(f, rd, "elt"))
 		} else {
-			terms = append(terms, f.Subst(rd, expr.V(policy.ValVar(t.Loc))))
+			terms = append(terms, expr.Subst(f, rd, expr.V(policy.ValVar(t.Loc))))
 		}
 	}
 	return expr.Conj(terms...)
@@ -347,7 +345,7 @@ func (e *Engine) wlpStore(id int, srcExpr rtl.Expr, f expr.Formula) expr.Formula
 		if t.Summary {
 			terms = append(terms, e.havoc(f, v, "sum"))
 		} else {
-			terms = append(terms, f.Subst(v, src))
+			terms = append(terms, expr.Subst(f, v, src))
 		}
 	}
 	return expr.Conj(terms...)
