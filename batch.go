@@ -1,21 +1,19 @@
 package mcsafe
 
 import (
-	"context"
-
 	"mcsafe/internal/core"
 	"mcsafe/internal/induction"
 )
 
-// BatchItem is one program+policy pair submitted to CheckAll.
+// BatchItem is one program+policy pair submitted to Checker.CheckAll.
 type BatchItem struct {
 	Prog *Program
 	Spec *Spec
 	Opts Options
 }
 
-// BatchResult is the outcome of one item of a CheckAll batch; exactly
-// one of Result and Err is non-nil.
+// BatchResult is the outcome of one item of a Checker.CheckAll batch;
+// exactly one of Result and Err is non-nil.
 type BatchResult struct {
 	Result *Result
 	Err    error
@@ -32,20 +30,4 @@ func coreOptions(opts Options) core.Options {
 		Parallelism: opts.Parallelism,
 		Budget:      opts.Budget,
 	}
-}
-
-// CheckAll checks many program+policy pairs concurrently with a bounded
-// worker pool — the entry point for serving many independent check
-// requests. parallelism bounds the number of in-flight checks (0 means
-// GOMAXPROCS); results are indexed like items. Items whose Options
-// leave Parallelism at 0 run their Phase 5 sequentially when the batch
-// itself is parallel (the batch already saturates the cores); an
-// explicit per-item Parallelism is honored.
-//
-// Deprecated: build a Checker instead — New().CheckAll(ctx, items,
-// parallelism) — which adds context cancellation and configuration
-// reuse. This shim is kept for source compatibility and delegates
-// unchanged.
-func CheckAll(items []BatchItem, parallelism int) []BatchResult {
-	return New().CheckAll(context.Background(), items, parallelism)
 }

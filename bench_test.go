@@ -136,7 +136,7 @@ func BenchmarkAblationMaxIter(b *testing.B) {
 // BenchmarkPhases isolates each phase of the checker on a loop-heavy
 // program, mirroring the paper's observation that checking time splits
 // between typestate propagation and global verification, and compares
-// the sequential global-verification path against the worker pool.
+// global verification on one worker against GOMAXPROCS workers.
 // BubbleSort keeps single iterations fast enough to get stable numbers;
 // BenchmarkFig9 covers the larger programs end to end.
 func BenchmarkPhases(b *testing.B) {
@@ -187,13 +187,7 @@ func BenchmarkPhases(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Fresh prover and engine per iteration: global
 				// verification is measured cold, not from warm caches.
-				var prover *solver.Prover
-				if par == 1 {
-					prover = solver.New()
-				} else {
-					prover = solver.NewShared(solver.NewShardedCache())
-				}
-				eng := vcgen.New(prop, prover, vcgen.Options{Parallelism: par})
+				eng := vcgen.New(prop, solver.New(), vcgen.Options{Parallelism: par})
 				eng.Prove(ann.Conds)
 			}
 		}

@@ -77,9 +77,9 @@ type Checker struct {
 type CheckerOption func(*Checker)
 
 // WithParallelism sets the worker count for global verification
-// (Phase 5): 0 means GOMAXPROCS, 1 forces the exact sequential legacy
-// path. The verdict, violations, and their ordering are identical at
-// every setting.
+// (Phase 5): 0 means GOMAXPROCS, and 1 proves on the calling goroutine.
+// The verdict, violations, and their ordering are identical at every
+// setting.
 func WithParallelism(n int) CheckerOption {
 	return func(c *Checker) { c.opts.Parallelism = n }
 }
@@ -148,7 +148,9 @@ func (c *Checker) Check(ctx context.Context, prog *Program, spec *Spec) (*Result
 // worker pool (parallelism 0 means GOMAXPROCS), under the context. Each
 // item is checked with this Checker's configuration unless its
 // BatchItem.Opts override it (a zero Opts inherits the Checker's).
-// Outcomes are indexed like items.
+// When the batch runs more than one check at a time, an item whose
+// Parallelism is 0 proves its Phase 5 with one worker, since the batch
+// already saturates the cores. Outcomes are indexed like items.
 func (c *Checker) CheckAll(ctx context.Context, items []BatchItem, parallelism int) []BatchResult {
 	inner := make([]core.CheckItem, len(items))
 	for i, it := range items {

@@ -56,7 +56,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	ablate := flag.String("ablate", "", "run an ablation: nogen (no generalization), nodnf (no DNF disjuncts), maxiter=N")
 	only := flag.String("only", "", "comma-separated program names (default: all)")
-	parallel := flag.Int("parallel", 0, "global-verification workers: 0 = GOMAXPROCS, 1 = sequential")
+	parallel := flag.Int("parallel", 0, "global-verification workers: 0 = GOMAXPROCS, 1 = one worker on the calling goroutine")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON of per-phase times instead of the table")
 	baseline := flag.String("baseline", "", "compare a fresh run against a baseline JSON report (see -json); exit 1 on regression")
 	threshold := flag.Float64("threshold", 2.0, "slowdown factor versus -baseline that counts as a regression")

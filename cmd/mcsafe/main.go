@@ -12,8 +12,9 @@
 //	mcsafe -prog Sum [-dump-typestate] # check a built-in program
 //
 // -parallel N sets the worker count for global verification (0 =
-// GOMAXPROCS, 1 = sequential); with several program files it also bounds
-// the number of programs checked concurrently.
+// GOMAXPROCS, 1 = one worker on the calling goroutine); with several
+// program files it also bounds the number of programs checked
+// concurrently.
 //
 // Observability:
 //
@@ -83,7 +84,7 @@ func main() {
 	dumpTS := flag.Bool("dump-typestate", false, "print per-instruction typestates (Figure 6 style)")
 	dumpConds := flag.Bool("dump-conds", false, "print every global safety condition and its verdict")
 	dumpAsm := flag.Bool("dump-asm", false, "print the decoded program")
-	parallel := flag.Int("parallel", 0, "global-verification workers: 0 = GOMAXPROCS, 1 = sequential")
+	parallel := flag.Int("parallel", 0, "global-verification workers: 0 = GOMAXPROCS, 1 = one worker on the calling goroutine")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON")
 	trace := flag.Bool("trace", false, "record spans and counters (see -json)")
 	explain := flag.Bool("explain", false, "print the verdict path of every violation")

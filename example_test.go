@@ -35,7 +35,7 @@ allow V int[n] rfo
 `
 
 // ExampleChecker_Check verifies the paper's Figure 1 array-summation
-// loop with an observed, sequential Checker and reads the effort
+// loop with an observed, single-worker Checker and reads the effort
 // counters off the trace.
 func ExampleChecker_Check() {
 	spec, err := mcsafe.ParseSpec(exampleSpec)

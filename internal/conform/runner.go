@@ -14,7 +14,7 @@ import (
 // Options tunes a conformance run.
 type Options struct {
 	// Parallelism is the fixture-level worker count (0 = GOMAXPROCS).
-	// Each fixture is checked with the sequential Phase 5 path, so the
+	// Each fixture is checked with one Phase 5 worker, so the fixture
 	// pool is the only source of concurrency and outcomes are identical
 	// at every setting.
 	Parallelism int

@@ -33,8 +33,8 @@ type CheckOutcome struct {
 // (0 means GOMAXPROCS). Outcomes are indexed like items.
 //
 // When the batch itself runs in parallel, items that leave
-// Opts.Parallelism at the default 0 are checked with the sequential
-// Phase 5 path: the batch is already saturating the cores, and one
+// Opts.Parallelism at the default 0 are checked with one Phase 5
+// worker: the batch is already saturating the cores, and one
 // check per core beats every check contending for every core. An
 // explicit per-item Parallelism is honored as given.
 func CheckAll(items []CheckItem, parallelism int) []CheckOutcome {
@@ -65,7 +65,7 @@ func CheckAllContext(ctx context.Context, items []CheckItem, parallelism int) []
 		defer func() {
 			if r := recover(); r != nil {
 				oc = CheckOutcome{Err: &PhaseError{Phase: "batch", Err: &InternalError{
-					Phase: "batch", ProgramHash: ProgramHash(it.Prog), Cond: -1,
+					Phase: "batch", Program: programAddress(it.Prog), Cond: -1,
 					Panic: fmt.Sprint(r), Stack: debug.Stack(),
 				}}}
 			}

@@ -90,9 +90,10 @@ type Options struct {
 	// Induction configures the invariant synthesizer (ablations).
 	Induction induction.Options
 	// Parallelism is the worker count for Phase 5 (global
-	// verification): 0 means GOMAXPROCS, 1 the exact sequential legacy
-	// path. Verdicts, violation lists, and their ordering are identical
-	// at every setting; only wall-clock time changes.
+	// verification): 0 means GOMAXPROCS, and 1 proves every chunk on
+	// the calling goroutine. Verdicts, violation lists, and their
+	// ordering are identical at every setting; only wall-clock time
+	// changes.
 	Parallelism int
 	// Budget is the check's resource envelope (deadline, solver step
 	// budget, per-condition timeout). The zero Budget disables
@@ -168,7 +169,7 @@ func CheckContext(ctx context.Context, prog *isa.Program, spec *policy.Spec, opt
 			w.EndAll("aborted", phase)
 			w.Flush()
 			res, err = nil, &PhaseError{Phase: phase, Err: &InternalError{
-				Phase: phase, ProgramHash: ProgramHash(prog), Cond: -1,
+				Phase: phase, Program: programAddress(prog), Cond: -1,
 				Panic: fmt.Sprint(r), Stack: debug.Stack(),
 			}}
 		}
@@ -227,22 +228,15 @@ func CheckContext(ctx context.Context, prog *isa.Program, spec *policy.Spec, opt
 	res.Ann = ann
 	res.Times.AnnotLocal = time.Since(t2)
 
-	// Phase 5: global verification. The sequential legacy path keeps
-	// the prover's private single-owner cache; any parallel setting
-	// gets a striped cache the pool's worker provers share.
+	// Phase 5: global verification. The prover's cache is shared by the
+	// provers of all the pool's workers.
 	phase = "global"
 	if err := ctx.Err(); err != nil {
 		return nil, abort("global", err)
 	}
 	t3 := time.Now()
 	w.Begin("phase", "global")
-	var prover *solver.Prover
-	if opts.Parallelism == 1 {
-		prover = solver.New()
-	} else {
-		prover = solver.NewShared(solver.NewShardedCache())
-	}
-	prover.Obs = w
+	prover := solver.New()
 	// One intern table per check: every diagnostic stringification
 	// (observer span attributes, Explain attempts) of a formula is
 	// rendered once per unique term. The pool hands it to each worker.
@@ -270,7 +264,7 @@ func CheckContext(ctx context.Context, prog *isa.Program, spec *policy.Spec, opt
 	if err != nil {
 		if pe, ok := err.(*vcgen.PanicError); ok {
 			err = &InternalError{
-				Phase: "global", ProgramHash: ProgramHash(prog),
+				Phase: "global", Program: programAddress(prog),
 				Cond: pe.Cond, Panic: fmt.Sprint(pe.Value), Stack: pe.Stack,
 			}
 		}

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -51,10 +52,11 @@ type InternalError struct {
 	// Phase is the driver phase that was running ("prepare",
 	// "typestate", "annotate", "global").
 	Phase string `json:"phase"`
-	// ProgramHash fingerprints the program being checked (FNV-1a over
-	// its machine words), so a crash report identifies the poisoned
-	// input without embedding it.
-	ProgramHash uint64 `json:"program_hash"`
+	// Program is the checked program's content address in hex — the
+	// digest Program.Fingerprint and the verdict store key render — so a
+	// crash report names the poisoned input the way the store does,
+	// without embedding it ("" for a nil program).
+	Program string `json:"program"`
 	// Cond is the ID of the global condition being proved when the
 	// panic fired, or -1 when it fired outside condition proving.
 	Cond int `json:"cond"`
@@ -65,21 +67,16 @@ type InternalError struct {
 }
 
 func (e *InternalError) Error() string {
-	return fmt.Sprintf("mcsafe: internal error during %s phase (program %016x, cond %d): %s",
-		e.Phase, e.ProgramHash, e.Cond, e.Panic)
+	return fmt.Sprintf("mcsafe: internal error during %s phase (program %s, cond %d): %s",
+		e.Phase, e.Program, e.Cond, e.Panic)
 }
 
-// ProgramHash fingerprints a program: FNV-1a over its machine words.
-func ProgramHash(prog *isa.Program) uint64 {
+// programAddress renders prog's content address (isa.Fingerprint) in
+// hex for InternalError.Program.
+func programAddress(prog *isa.Program) string {
 	if prog == nil {
-		return 0
+		return ""
 	}
-	h := uint64(14695981039346656037)
-	for _, w := range prog.Words {
-		for shift := 0; shift < 32; shift += 8 {
-			h ^= uint64(byte(w >> shift))
-			h *= 1099511628211
-		}
-	}
-	return h
+	fp := isa.Fingerprint(prog)
+	return hex.EncodeToString(fp[:])
 }

@@ -12,6 +12,7 @@ package faults_test
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -23,6 +24,7 @@ import (
 	"mcsafe/internal/core"
 	"mcsafe/internal/difftest"
 	"mcsafe/internal/faults"
+	"mcsafe/internal/isa"
 	"mcsafe/internal/leakcheck"
 	"mcsafe/internal/policy"
 	"mcsafe/internal/progs"
@@ -98,8 +100,8 @@ func assertWellFormed(t *testing.T, tag string, f faults.Fault, res *core.Result
 			if f.Kind != faults.Panic || !strings.Contains(ie.Panic, "injected panic") {
 				t.Errorf("%s: internal error not attributable to the injected fault: %v", tag, err)
 			}
-			if ie.ProgramHash == 0 {
-				t.Errorf("%s: InternalError without a program hash", tag)
+			if ie.Program == "" {
+				t.Errorf("%s: InternalError without a program address", tag)
 			}
 		}
 		return
@@ -217,8 +219,8 @@ func TestPanicContainedAtEveryPoint(t *testing.T) {
 		if !strings.Contains(ie.Panic, "injected panic at "+string(pt)) {
 			t.Errorf("%s: panic value not recorded: %q", pt, ie.Panic)
 		}
-		if ie.ProgramHash != core.ProgramHash(sparc.ToISA(prog)) {
-			t.Errorf("%s: program hash %016x, want %016x", pt, ie.ProgramHash, core.ProgramHash(sparc.ToISA(prog)))
+		if fp := isa.Fingerprint(sparc.ToISA(prog)); ie.Program != hex.EncodeToString(fp[:]) {
+			t.Errorf("%s: program %s, want the content address %x", pt, ie.Program, fp)
 		}
 		if len(ie.Stack) == 0 {
 			t.Errorf("%s: InternalError without a stack", pt)

@@ -50,7 +50,7 @@ type Config struct {
 	// submission is checked).
 	Store *vstore.Store
 	// Parallelism is each check's Phase 5 worker count (0 =
-	// GOMAXPROCS). With many concurrent requests, 1 (sequential per
+	// GOMAXPROCS). With many concurrent requests, 1 (one worker per
 	// check) usually maximizes throughput.
 	Parallelism int
 	// DefaultBudget applies to requests that carry no Budget; MaxBudget

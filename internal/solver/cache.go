@@ -51,13 +51,11 @@ type cacheEntry struct {
 	verdict bool
 }
 
-// NewShardedCache returns an empty cache ready for concurrent use.
+// NewShardedCache returns an empty cache ready for concurrent use. A
+// shard's map is made by its first Put, so a cache that stays small
+// costs a few maps, not one per shard.
 func NewShardedCache() *ShardedCache {
-	c := &ShardedCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[expr.FP]cacheEntry)
-	}
-	return c
+	return &ShardedCache{}
 }
 
 func (c *ShardedCache) shardOf(key expr.FP) *cacheShard {
@@ -83,6 +81,9 @@ func (c *ShardedCache) Get(key expr.FP, salt uint64, f expr.Formula) (verdict, o
 func (c *ShardedCache) Put(key expr.FP, salt uint64, f expr.Formula, verdict bool) {
 	s := c.shardOf(key)
 	s.mu.Lock()
+	if s.m == nil {
+		s.m = make(map[expr.FP]cacheEntry)
+	}
 	s.m[key] = cacheEntry{f: f, salt: salt, verdict: verdict}
 	s.mu.Unlock()
 }

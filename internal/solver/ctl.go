@@ -21,7 +21,7 @@ const (
 )
 
 // Ctl is the check-wide resource governor shared by every prover of
-// one check (the sequential prover, or all of a pool's worker provers).
+// one check (all of a pool's worker provers).
 // It carries the caller's context, the check's wall-clock deadline, and
 // the shared solver step budget. All fields are either immutable after
 // construction or atomic, so any number of provers on concurrent

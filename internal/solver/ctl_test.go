@@ -45,8 +45,8 @@ func TestStepBudgetTripsConservatively(t *testing.T) {
 	if hits := p.Ctl.BudgetHits(); hits != 1 {
 		t.Errorf("BudgetHits() = %d, want 1", hits)
 	}
-	if len(p.cache) != 0 {
-		t.Errorf("tripped verdict was cached: %d entries", len(p.cache))
+	if n := p.cache.Len(); n != 0 {
+		t.Errorf("tripped verdict was cached: %d entries", n)
 	}
 }
 

@@ -83,9 +83,8 @@ type Prover struct {
 	// loops consult it (see tick) so a single pathological query is
 	// interruptible mid-proof by cancellation, deadline, or step
 	// budget. Many provers of one check share one Ctl.
-	Ctl    *Ctl
-	cache  map[expr.FP]privEntry // private cache; nil when shared is set
-	shared *ShardedCache         // concurrency-safe cache shared across provers
+	Ctl   *Ctl
+	cache *ShardedCache // formula-verdict cache, possibly shared across provers
 
 	// scratch is the DNF walker's working storage, lent to each walk
 	// and taken back after it (see walkScratch).
@@ -105,14 +104,6 @@ type Prover struct {
 	ticks        int64
 }
 
-// privEntry is one private-cache slot: the verdict plus the formula it
-// was computed for, verified on lookup so fingerprint collisions can
-// only cost a recomputation, never an answer.
-type privEntry struct {
-	f       expr.Formula
-	verdict bool
-}
-
 // clauseMemoEntry is one clause-memo slot; see clauseUnsatMemo.
 type clauseMemoEntry struct {
 	c     expr.Clause
@@ -120,22 +111,22 @@ type clauseMemoEntry struct {
 	unsat bool
 }
 
-// New returns a prover with default limits and a private (single-owner)
-// result cache.
+// New returns a prover with default limits and a result cache of its
+// own.
 func New() *Prover {
-	return &Prover{Lim: DefaultLimits, cache: make(map[expr.FP]privEntry)}
+	return NewShared(NewShardedCache())
 }
 
 // NewShared returns a prover with default limits backed by a
 // concurrency-safe formula cache that may be shared with other provers
 // running on other goroutines.
 func NewShared(c *ShardedCache) *Prover {
-	return &Prover{Lim: DefaultLimits, shared: c}
+	return &Prover{Lim: DefaultLimits, cache: c}
 }
 
-// SharedCache returns the cache this prover shares with others, or nil
-// when the prover uses a private cache.
-func (p *Prover) SharedCache() *ShardedCache { return p.shared }
+// SharedCache returns the formula cache backing this prover, for
+// handing to further provers that should share it.
+func (p *Prover) SharedCache() *ShardedCache { return p.cache }
 
 // Valid reports whether f is valid (true under every integer assignment
 // of its free variables). A false answer means "not proved": the formula
@@ -144,26 +135,15 @@ func (p *Prover) SharedCache() *ShardedCache { return p.shared }
 func (p *Prover) Valid(f expr.Formula) bool {
 	p.Stats.ValidQueries++
 	key := expr.Fingerprint(f)
-	if p.shared != nil {
-		if r, ok := p.shared.Get(key, 0, f); ok {
-			p.Stats.CacheHits++
-			return r
-		}
-		r := p.solve(f)
-		// A verdict reached under a resource trip is budget-dependent,
-		// not a fact about the formula: never cache it.
-		if p.trip == "" {
-			p.shared.Put(key, 0, f, r)
-		}
+	if r, ok := p.cache.Get(key, 0, f); ok {
+		p.Stats.CacheHits++
 		return r
 	}
-	if e, ok := p.cache[key]; ok && expr.Equal(e.f, f) {
-		p.Stats.CacheHits++
-		return e.verdict
-	}
 	r := p.solve(f)
+	// A verdict reached under a resource trip is budget-dependent, not a
+	// fact about the formula: never cache it.
 	if p.trip == "" {
-		p.cache[key] = privEntry{f: f, verdict: r}
+		p.cache.Put(key, 0, f, r)
 	}
 	return r
 }

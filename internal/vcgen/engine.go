@@ -14,7 +14,6 @@ package vcgen
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -32,11 +31,11 @@ import (
 // Options configures the engine.
 type Options struct {
 	Induction induction.Options
-	// Parallelism is the number of workers Prove uses to discharge
-	// condition groups: 0 means GOMAXPROCS, 1 the exact sequential
-	// legacy path. Work items are independent, results are written by
-	// index, and per-item engines start from identical scratch state,
-	// so verdicts and ordering do not depend on the worker count.
+	// Parallelism is the number of pool workers Prove uses to discharge
+	// condition chunks (0 means GOMAXPROCS). Worker 0 runs on the
+	// calling goroutine, so 1 starts no goroutine. Results are written
+	// by index and every cache is verdict-pure, so verdicts and their
+	// ordering do not depend on the worker count (see pool.go).
 	Parallelism int
 	// CondTimeout bounds each condition's proof wall clock (0 = none).
 	// A condition whose proof exceeds it is abandoned with a
@@ -115,36 +114,25 @@ type Engine struct {
 	rm    *isa.RegModel
 	conv  *isa.Convention
 	fresh int
-	// cache and entryCache are fingerprint-keyed verdict caches (the
-	// same verified-hit ShardedCache the pool shares, used privately
-	// here); crossCache maps a crossing's composite fingerprint to its
-	// synthesized invariant.
+	// cache and entryCache are fingerprint-keyed verdict caches, one
+	// per check: every worker engine of a pool uses its coordinator's.
+	// Only bool-valued caches are shareable: a key embeds the complete
+	// formula (by fingerprint, verified structurally on hit) and its
+	// proof point, and a verdict about those is a fact whichever engine
+	// computes it. crossCache maps a crossing's composite fingerprint to
+	// its synthesized invariant and stays per engine — an invariant
+	// carries the minting engine's fresh-variable names, which another
+	// engine could independently re-mint with a different meaning
+	// (capture).
 	cache      *solver.ShardedCache
 	entryCache *solver.ShardedCache
 	crossCache map[expr.FP]expr.Formula
 	// entryActive breaks recursion cycles between loop crossings and
 	// their entry checks (a cycle answers false: conservative). cuts
-	// counts the cycles it has broken, so provedCached can tell a verdict
-	// that leaned on one.
+	// counts the cycles it has broken, so a cache can tell a result
+	// that leaned on one (see storable).
 	entryActive map[expr.FP]bool
 	cuts        int
-	// shared, when non-nil, replaces the bool-valued caches with the
-	// pool's, shared across a worker pool's engines. Only the bool
-	// caches are shareable: their keys embed the complete formula (by
-	// fingerprint, verified structurally on hit) and its proof point,
-	// and a verdict about those is a fact whichever engine computes it.
-	// The formula-valued crossCache stays per-engine — a cached
-	// invariant carries the minting engine's fresh-variable names,
-	// which another engine could independently re-mint with a
-	// different meaning (capture).
-	shared *sharedCaches
-}
-
-// sharedCaches backs a pool of engines with concurrency-safe variants of
-// the bool-valued proof caches.
-type sharedCaches struct {
-	query *solver.ShardedCache // provedCached results
-	entry *solver.ShardedCache // loop-entry proof results
 }
 
 // New builds an engine over propagation results.
@@ -159,14 +147,6 @@ func New(res *propagate.Result, p *solver.Prover, opts Options) *Engine {
 		entryActive: make(map[expr.FP]bool)}
 }
 
-// newShared builds a worker engine whose bool-valued caches are the
-// pool's shared ones.
-func newShared(res *propagate.Result, p *solver.Prover, opts Options, sc *sharedCaches) *Engine {
-	e := New(res, p, opts)
-	e.shared = sc
-	return e
-}
-
 // Prove verifies every global condition, returning per-condition
 // verdicts in the order the conditions were given. Conditions are
 // partitioned into groups of comparable constituents — the bounds checks
@@ -176,27 +156,11 @@ func newShared(res *propagate.Result, p *solver.Prover, opts Options, sc *shared
 // and vice versa), falling back to individual proofs so that a single
 // violation does not mask the rest.
 //
-// With Opts.Parallelism != 1, independent condition groups are
-// discharged by a worker pool (see pool.go); with Parallelism 1 the
-// original sequential path runs unchanged.
+// The conditions are discharged by the worker pool of pool.go, with
+// Opts.Parallelism workers.
 func (e *Engine) Prove(conds []*annotate.GlobalCond) []CondResult {
 	out, _ := e.ProveContext(context.Background(), conds)
 	return out
-}
-
-// ProveContext is Prove with cancellation: the context is consulted
-// between conditions (sequential path) and between condition chunks
-// (pool path). On cancellation it returns the verdicts computed so far
-// together with ctx.Err(); unreached entries are zero-valued.
-func (e *Engine) ProveContext(ctx context.Context, conds []*annotate.GlobalCond) ([]CondResult, error) {
-	par := e.Opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par == 1 || len(conds) <= 1 {
-		return e.proveSequential(ctx, conds)
-	}
-	return e.proveParallel(ctx, conds, par)
 }
 
 // condGroup is one bounds group: the indexes (into the conds slice) of
@@ -210,7 +174,7 @@ type condGroup struct {
 // boundsGroups partitions the bounds conditions per (node, position) and
 // returns the groups with at least two members, ordered by node and
 // before/after position. The result is a deterministic function of the
-// input; both the sequential and the parallel path consume it.
+// input.
 func boundsGroups(conds []*annotate.GlobalCond) []condGroup {
 	type groupKey struct {
 		node  int
@@ -239,14 +203,25 @@ func boundsGroups(conds []*annotate.GlobalCond) []condGroup {
 	return out
 }
 
-// proveGroup attempts a bounds group as a single conjunction.
+// proveGroup attempts a bounds group as a single conjunction, in a
+// per-condition window of its own.
 func (e *Engine) proveGroup(conds []*annotate.GlobalCond, g condGroup) bool {
+	e.beginCond()
 	fs := make([]expr.Formula, len(g.members))
 	for i, idx := range g.members {
 		fs[i] = conds[idx].F
 	}
 	conj := expr.Simplify(expr.Conj(fs...))
 	return e.provedCached(g.node, g.after, conj)
+}
+
+// beginCond opens a fresh per-condition deadline when a timeout is set.
+// A previous condition's timeout trip is cleared so one pathological
+// condition does not poison the rest.
+func (e *Engine) beginCond() {
+	if e.Opts.CondTimeout > 0 {
+		e.P.BeginCond(time.Now().Add(e.Opts.CondTimeout))
+	}
 }
 
 // proveCond discharges one condition. groupProved short-circuits the
@@ -256,12 +231,7 @@ func (e *Engine) proveGroup(conds []*annotate.GlobalCond, g condGroup) bool {
 func (e *Engine) proveCond(c *annotate.GlobalCond, groupProved bool) CondResult {
 	r := CondResult{Cond: c}
 	r.Span = e.Obs.Begin("cond", c.Desc)
-	if e.Opts.CondTimeout > 0 {
-		// A fresh per-condition deadline; a previous condition's timeout
-		// trip is cleared so one pathological condition does not poison
-		// the rest.
-		e.P.BeginCond(time.Now().Add(e.Opts.CondTimeout))
-	}
+	e.beginCond()
 	attempt := func(kind string, f expr.Formula) bool {
 		f = expr.Simplify(f)
 		var wlp string
@@ -311,44 +281,26 @@ func (e *Engine) proveCond(c *annotate.GlobalCond, groupProved bool) CondResult 
 	return r
 }
 
-// proveSequential is the legacy single-threaded path: one engine, one
-// prover, caches shared across all conditions. The context is checked
-// before every group and every condition.
-func (e *Engine) proveSequential(ctx context.Context, conds []*annotate.GlobalCond) ([]CondResult, error) {
-	groupProved := make([]bool, len(conds))
-	for _, g := range boundsGroups(conds) {
-		if err := ctx.Err(); err != nil {
-			return make([]CondResult, len(conds)), err
-		}
-		if e.proveGroup(conds, g) {
-			for _, idx := range g.members {
-				groupProved[idx] = true
-			}
-		}
-	}
-	out := make([]CondResult, len(conds))
-	for i, c := range conds {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		out[i] = e.proveCond(c, groupProved[i])
-	}
-	return out, nil
-}
-
 // stopped reports whether the prover has tripped (resource exhaustion
 // or cancellation): further proof work is pointless and would only
 // delay draining the check.
 func (e *Engine) stopped() bool { return e.P.Stopped() }
 
-// provedCached runs proveAt through the per-query cache, for top-level
-// conditions and call-site requirements alike. The cache must hold only
-// context-free merits verdicts, so two kinds are never stored:
-//   - a verdict reached after the prover tripped is conservative but
+// storable reports whether a result computed since the engine's cut
+// counter read cuts may be cached. The engine's caches must hold only
+// context-free results on the merits, so two kinds are never stored:
+//   - a result reached after the prover tripped is conservative but
 //     budget-dependent, not a fact about the formula;
-//   - a verdict reached after a loop-entry cycle cut (entryActive) fired
-//     during its computation answered false for a query that was only
-//     open because of the enclosing proof, so it depends on that proof.
+//   - a result reached after a loop-entry cycle cut (entryActive) fired
+//     during its computation leaned on a false answer for a query that
+//     was only open because of the enclosing proof, so it depends on
+//     that proof.
+func (e *Engine) storable(cuts int) bool {
+	return !e.stopped() && e.cuts == cuts
+}
+
+// provedCached runs proveAt through the per-query cache, for top-level
+// conditions and call-site requirements alike.
 func (e *Engine) provedCached(node int, after bool, f expr.Formula) bool {
 	if e.stopped() {
 		return false
@@ -358,18 +310,14 @@ func (e *Engine) provedCached(node int, after bool, f expr.Formula) bool {
 	// a hit is verified against both.
 	salt := uint64(node)<<1 | boolBit(after)
 	key := expr.Fingerprint(f).Mixed(salt)
-	cache := e.cache
-	if e.shared != nil {
-		cache = e.shared.query
-	}
-	if v, ok := cache.Get(key, salt, f); ok {
+	if v, ok := e.cache.Get(key, salt, f); ok {
 		e.Stats.CacheHits++
 		return v
 	}
 	cuts := e.cuts
 	v := e.proveAt(node, after, f)
-	if !e.stopped() && e.cuts == cuts {
-		cache.Put(key, salt, f, v)
+	if e.storable(cuts) {
+		e.cache.Put(key, salt, f, v)
 	}
 	return v
 }
@@ -474,26 +422,20 @@ func (e *Engine) proveAtLoopEntry(l *cfg.Loop, w expr.Formula) bool {
 	}
 	salt := uint64(l.Header)
 	key := expr.Fingerprint(w).Mixed(salt)
-	cache := e.entryCache
-	if e.shared != nil {
-		cache = e.shared.entry
-	}
-	if v, ok := cache.Get(key, salt, w); ok {
+	if v, ok := e.entryCache.Get(key, salt, w); ok {
 		return v
 	}
 	if e.entryActive[key] {
 		e.cuts++
 		return false
 	}
+	cuts := e.cuts
 	e.entryActive[key] = true
 	v := e.proveAtLoopEntryUncached(l, w)
 	delete(e.entryActive, key)
-	if e.stopped() {
-		// A verdict reached under a trip is budget-dependent: never
-		// cache it.
-		return v
+	if e.storable(cuts) {
+		e.entryCache.Put(key, salt, w, v)
 	}
-	cache.Put(key, salt, w, v)
 	return v
 }
 
@@ -841,6 +783,7 @@ func (e *Engine) crossLoopEntry(
 	if inv, ok := e.crossCache[key]; ok {
 		return inv
 	}
+	cuts := e.cuts
 	exitFn := func(to int) expr.Formula {
 		if f, ok := exitVals[to]; ok {
 			return f
@@ -862,6 +805,8 @@ func (e *Engine) crossLoopEntry(
 	if ok {
 		inv = res.Invariant
 	}
-	e.crossCache[key] = inv
+	if e.storable(cuts) {
+		e.crossCache[key] = inv
+	}
 	return inv
 }

@@ -1,0 +1,149 @@
+package vcgen
+
+import (
+	"testing"
+	"time"
+
+	"mcsafe/internal/annotate"
+	"mcsafe/internal/cfg"
+	"mcsafe/internal/expr"
+	"mcsafe/internal/solver"
+)
+
+// loopThenAccessAsm counts %g3 up to n while %g4 steps by 4 bytes, and
+// then reads the element before offset %g4: the access's requirements
+// reach the procedure entry only across the loop, through a crossing
+// invariant whose synthesis outlasts the solver's first deadline check.
+const loopThenAccessAsm = `
+	mov %o0,%o2
+	clr %g3
+	clr %g4
+loop:
+	inc %g3
+	add %g4,4,%g4
+	cmp %g3,%o1
+	bl loop
+	nop
+	sub %g4,4,%g2
+	ld [%o2+%g2],%g1
+	retl
+	nop
+`
+
+// nestedLoopAsm runs an inner loop inside an outer one. The outer
+// counter %l0 is non-negative at the inner loop's entry only by the
+// outer loop's invariant, so proving that at the inner entry opens an
+// entry check on the outer loop.
+const nestedLoopAsm = `
+	clr %l0
+outer:
+	clr %l1
+inner:
+	inc %l1
+	cmp %l1,%o1
+	bl inner
+	nop
+	inc %l0
+	cmp %l0,%o1
+	bl outer
+	nop
+	retl
+	nop
+`
+
+func condByDesc(t *testing.T, pl *pipeline, desc string) *annotate.GlobalCond {
+	t.Helper()
+	for _, c := range pl.ann.Conds {
+		if c.Desc == desc {
+			return c
+		}
+	}
+	t.Fatalf("no %q condition", desc)
+	return nil
+}
+
+// TestCrossingUnderTripNotStored: a crossing synthesized while the
+// per-condition deadline trips answers the conservative false, and that
+// false is not stored. Once the next condition's window clears the
+// trip, the same engine proves the query on the merits, as a fresh
+// engine does, rather than reusing the false and charging it as a
+// refutation.
+func TestCrossingUnderTripNotStored(t *testing.T) {
+	pl := build(t, loopThenAccessAsm, callSiteSpec, "")
+	c := condByDesc(t, pl, "array lower bound")
+	if pl.g.InnermostLoop(c.Node) != nil {
+		t.Fatal("the access should lie after the loop")
+	}
+	if !New(pl.res, solver.New(), Options{}).provedCached(c.Node, c.AfterNode, c.F) {
+		t.Fatal("a fresh engine does not prove the lower bound")
+	}
+
+	e := New(pl.res, solver.New(), Options{})
+	e.P.BeginCond(time.Now().Add(-time.Second)) // already expired
+	if e.provedCached(c.Node, c.AfterNode, c.F) {
+		t.Fatal("a proof under an expired deadline succeeded")
+	}
+	if stop := e.P.ResourceStop(); stop != solver.StopCondTimeout {
+		t.Fatalf("stop = %q, want %q", stop, solver.StopCondTimeout)
+	}
+	for key, inv := range e.crossCache {
+		if _, isFalse := inv.(expr.FalseF); isFalse {
+			t.Errorf("crossing %v stored the false reached under the trip", key)
+		}
+	}
+	e.P.BeginCond(time.Time{}) // the next condition's window
+	if !e.provedCached(c.Node, c.AfterNode, c.F) {
+		t.Fatalf("after a tripped attempt the engine no longer proves the lower bound (stop %q)", e.P.ResourceStop())
+	}
+}
+
+// TestLoopEntryAfterCycleCutNotStored: an inner loop's entry proof during
+// which the outer loop's entry check is cut (as if an enclosing proof
+// had it open) answers false only because of that proof, so the verdict
+// is not stored; the same proof without the open check is.
+func TestLoopEntryAfterCycleCutNotStored(t *testing.T) {
+	pl := build(t, nestedLoopAsm, callSiteSpec, "")
+	var inner *cfg.Loop
+	for _, proc := range pl.g.Procs {
+		for _, l := range proc.Loops {
+			if l.Parent != nil {
+				inner = l
+			}
+		}
+	}
+	if inner == nil {
+		t.Fatal("no nested loop")
+	}
+	outer := inner.Parent
+	w := expr.Ge(expr.V("%l0"))
+	salt := uint64(inner.Header)
+	key := expr.Fingerprint(w).Mixed(salt)
+
+	free := New(pl.res, solver.New(), Options{})
+	if !free.proveAtLoopEntry(inner, w) {
+		t.Fatalf("%v not proved at the inner loop's entry", w)
+	}
+	if v, ok := free.entryCache.Get(key, salt, w); !ok || !v {
+		t.Fatalf("the uncut proof stored (%v, %v), want (true, true)", v, ok)
+	}
+
+	// The outer entry check the inner proof opens is on W(0) of the
+	// outer synthesis: the inner entry requirement carried back to the
+	// outer header. A twin engine computes it to learn its cache key.
+	twin := New(pl.res, solver.New(), Options{})
+	w0 := expr.Simplify(twin.passRegion(region{proc: pl.g.ProcOf(outer.Header), loop: outer},
+		nil, map[*cfg.Loop]expr.Formula{inner: w}, nil, expr.T()))
+	outerKey := expr.Fingerprint(w0).Mixed(uint64(outer.Header))
+
+	e := New(pl.res, solver.New(), Options{})
+	e.entryActive[outerKey] = true
+	if e.proveAtLoopEntry(inner, w) {
+		t.Fatal("proof succeeded through a cut entry check")
+	}
+	if e.cuts == 0 {
+		t.Fatalf("the outer entry check on %v was never cut", w0)
+	}
+	if _, ok := e.entryCache.Get(key, salt, w); ok {
+		t.Error("an entry verdict reached after a cycle cut was stored")
+	}
+}

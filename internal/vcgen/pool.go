@@ -1,28 +1,34 @@
-// Worker-pool path of Phase 5 (global verification). Condition groups —
-// the formula-grouping units of Section 5.2.1 — are independent work
-// items: nothing a group proves is an input to another group's proof,
-// only a shortcut for it. The pool therefore runs one engine per work
-// item, all backed by provers that share one concurrency-safe canonical-
-// formula cache, and writes verdicts by index so the output ordering,
-// verdicts, and violation lists are identical to the sequential run.
+// Worker pool of Phase 5 (global verification), its only proving path.
+// Condition groups — the formula-grouping units of Section 5.2.1 — are
+// independent work items: nothing a group proves is an input to another
+// group's proof, only a shortcut for it. The pool partitions them into
+// chunks, and each worker proves every chunk it pulls with one engine of
+// its own, backed by the check's one prover cache and its one query and
+// loop-entry cache. Verdicts are written by index, so the output
+// ordering, verdicts, and violation lists do not depend on the worker
+// count.
 //
-// Determinism argument: each work item is proved by a fresh Engine whose
-// scratch state (fresh-variable counter, per-query/entry/cross caches)
-// starts from the same initial values regardless of which worker picks
-// the item up or when, so an item's verdict is a pure function of the
-// item. The shared prover cache is keyed by structural formula
-// fingerprints (hits verified against the formula itself) and every
-// prover would store the same verdict for a key, so hits can change
-// only *when* a verdict is computed, never *what* it is. The same
-// argument makes the chunk schedule (cheap chunks first, so the shared
-// cache is warm before the expensive queries run) a pure latency
-// optimization: it permutes when verdicts are computed, never what
-// they are.
+// Determinism argument: every cache a worker shares is keyed by
+// structural formula fingerprints (hits verified against the formula
+// itself) plus, for the engine caches, the proof point, and every
+// engine would store the same verdict for a key — so a hit changes only
+// *when* a verdict is computed, never *what* it is. What a worker keeps
+// to itself is its crossing cache and fresh-variable counter: a chunk
+// may reuse an invariant its worker synthesized for an earlier chunk,
+// and its fresh variables are numbered after that chunk's. Verdicts are
+// therefore identical across settings as long as prover answers do not
+// depend on fresh-variable numbering (TestParallelDeterminism checks
+// this on the Figure 9 programs). At Parallelism 1 the single worker
+// pulls the chunks in a fixed order, so it is deterministic from run to
+// run. The chunk schedule (cheap chunks first, so the shared caches are
+// warm before the expensive queries run) is a latency optimization: it
+// permutes when verdicts are computed, never what they are.
 package vcgen
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -31,13 +37,14 @@ import (
 	"mcsafe/internal/annotate"
 	"mcsafe/internal/expr"
 	"mcsafe/internal/faults"
+	"mcsafe/internal/obs"
 	"mcsafe/internal/solver"
 )
 
-// PanicError is a panic recovered at a pool boundary (a worker
-// goroutine or one of its chunks), carried back to the coordinator so a
-// poisoned proof cannot kill the process or leak the pool's goroutines.
-// The core wraps it into its structured internal-error type.
+// PanicError is a panic recovered in a pool worker, carried back to the
+// coordinator so a poisoned proof cannot kill the process or leak the
+// pool's goroutines. The core wraps it into its structured
+// internal-error type.
 type PanicError struct {
 	// Cond is the ID of the condition being proved when the panic
 	// fired, or -1 when it fired outside any condition.
@@ -61,9 +68,9 @@ type workItem struct {
 }
 
 // chunkTarget is the number of conditions a work chunk aims to cover.
-// Neighboring conditions usually sit in the same loops, so letting one
-// engine (and its formula-valued crossing cache, which cannot be shared
-// across engines) process a few of them amortizes invariant synthesis,
+// Neighboring conditions usually sit in the same loops, so keeping a few
+// of them on one worker's engine (and its formula-valued crossing cache,
+// which cannot be shared across engines) amortizes invariant synthesis,
 // while chunks stay small enough to load-balance across workers.
 const chunkTarget = 4
 
@@ -141,134 +148,98 @@ func scheduleChunks(conds []*annotate.GlobalCond, chunks [][]workItem) []int {
 	return order
 }
 
-// proveParallel discharges the conditions with par workers pulling
-// chunks off a shared index. Results land in a slice indexed like conds;
-// engine stats are summed over the per-chunk engines and prover stats
-// merged with atomic counters into the coordinating engine's prover, so
-// callers observe the same Stats shape as on the sequential path.
+// ProveContext is Prove with cancellation. Parallelism workers pull
+// chunks off a shared index; worker 0 runs on the calling goroutine and
+// workers 1..n−1 on goroutines of their own, so Parallelism 1 starts
+// none. Each worker merges its engine and prover stats into e's once,
+// so callers observe the Stats of one engine and one prover.
 //
-// When observing, each worker goroutine records through its own forked
-// obs.Worker (chunks run under "chunk" spans) and flushes it before
-// joining — the same single-owner discipline as the prover stats. The
-// context is consulted once per chunk; on cancellation the remaining
-// chunks are abandoned and their result slots stay zero-valued.
-func (e *Engine) proveParallel(ctx context.Context, conds []*annotate.GlobalCond, par int) ([]CondResult, error) {
-	shared := e.P.SharedCache()
-	if shared == nil {
-		shared = solver.NewShardedCache()
-	}
-	sc := &sharedCaches{query: solver.NewShardedCache(), entry: solver.NewShardedCache()}
+// When observing, each worker records through its own forked obs.Worker
+// (chunks run under "chunk" spans) and flushes it before returning —
+// the same single-owner discipline as the stats. The context is
+// consulted once per chunk; on cancellation or a contained panic the
+// remaining chunks are abandoned, and ProveContext returns the verdicts
+// computed so far with the error. Unreached entries are zero-valued,
+// which is "not proved".
+func (e *Engine) ProveContext(ctx context.Context, conds []*annotate.GlobalCond) ([]CondResult, error) {
 	chunks := buildChunks(conds)
 	order := scheduleChunks(conds, chunks)
-	if par > len(chunks) {
-		par = len(chunks)
+	par := e.Opts.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
 	}
+	par = min(par, len(chunks))
 	out := make([]CondResult, len(conds))
 
 	var next atomic.Int64
 	var proverStats solver.AtomicStats
 	var mu sync.Mutex // guards e.Stats merging
-	var wg sync.WaitGroup
 	// failure holds the first contained panic (first writer wins); once
 	// set, workers stop pulling chunks and the pool drains.
 	var failure atomic.Pointer[PanicError]
-	for w := 0; w < par; w++ {
+	work := func(wkObs *obs.Worker) {
+		we := e.worker(wkObs)
+		cond := -1
+		// A panic anywhere in the worker is contained here, so it can
+		// neither kill the process nor strand wg.Wait. It ends the
+		// worker, and failure stops the others from pulling chunks, so
+		// the poisoned engine (its recursion marks and spans may be
+		// left mid-proof) is never reused. Stats and the observer flush
+		// in the same defer so the worker's bookkeeping survives every
+		// exit path.
+		defer func() {
+			if r := recover(); r != nil {
+				failure.CompareAndSwap(nil, &PanicError{
+					Cond: cond, Value: r, Stack: debug.Stack(),
+				})
+				wkObs.EndAll()
+			}
+			mu.Lock()
+			e.Stats.Conditions += we.Stats.Conditions
+			e.Stats.Proved += we.Stats.Proved
+			e.Stats.InductionRuns += we.Stats.InductionRuns
+			e.Stats.CacheHits += we.Stats.CacheHits
+			e.Stats.InductionIters += we.Stats.InductionIters
+			e.Stats.InductionCands += we.Stats.InductionCands
+			mu.Unlock()
+			proverStats.Add(we.P.Stats)
+			wkObs.Flush()
+		}()
+		faults.Fire(faults.WorkerStart)
+		for ctx.Err() == nil && failure.Load() == nil {
+			k := int(next.Add(1)) - 1
+			if k >= len(order) {
+				break
+			}
+			i := order[k]
+			wkObs.Begin("chunk", fmt.Sprintf("chunk-%d", i))
+			for _, it := range chunks[i] {
+				if it.group != nil {
+					cond = conds[it.group.members[0]].ID
+					gp := we.proveGroup(conds, *it.group)
+					for _, idx := range it.group.members {
+						cond = conds[idx].ID
+						out[idx] = we.proveCond(conds[idx], gp)
+					}
+				} else {
+					cond = conds[it.single].ID
+					out[it.single] = we.proveCond(conds[it.single], false)
+				}
+			}
+			cond = -1
+			wkObs.End("conds", fmt.Sprint(len(chunks[i])))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < par; w++ {
 		wg.Add(1)
 		wkObs := e.Obs.Fork()
 		go func() {
 			defer wg.Done()
-			prover := solver.NewShared(shared)
-			prover.Lim = e.P.Lim
-			prover.Obs = wkObs
-			prover.Intern = e.P.Intern
-			prover.Ctl = e.P.Ctl
-			// Last line of defense: a panic escaping the per-chunk
-			// containment (or fired before any chunk starts) must not
-			// kill the process or strand wg.Wait. Stats and the
-			// observer flush in the same defer so the worker's
-			// bookkeeping survives every exit path.
-			defer func() {
-				if r := recover(); r != nil {
-					failure.CompareAndSwap(nil, &PanicError{
-						Cond: -1, Value: r, Stack: debug.Stack(),
-					})
-					wkObs.EndAll()
-				}
-				proverStats.Add(prover.Stats)
-				wkObs.Flush()
-			}()
-			faults.Fire(faults.WorkerStart)
-
-			// runChunk proves one chunk under its own panic boundary:
-			// a poisoned condition fails closed (its chunk-mates get
-			// conservative verdicts), the panic is latched in failure,
-			// and the worker goroutine itself survives to drain.
-			runChunk := func(i int) {
-				we := newShared(e.Res, prover, e.Opts, sc)
-				we.Obs = wkObs
-				cond := -1
-				defer func() {
-					if r := recover(); r != nil {
-						failure.CompareAndSwap(nil, &PanicError{
-							Cond: cond, Value: r, Stack: debug.Stack(),
-						})
-						// Fail closed: every condition of the chunk
-						// without a verdict is left unproved.
-						for _, it := range chunks[i] {
-							idxs := []int{it.single}
-							if it.group != nil {
-								idxs = it.group.members
-							}
-							for _, idx := range idxs {
-								if out[idx].Cond == nil {
-									out[idx] = CondResult{
-										Cond:   conds[idx],
-										Detail: "internal error: proof attempt panicked",
-									}
-								}
-							}
-						}
-						wkObs.EndAll()
-					}
-					mu.Lock()
-					e.Stats.Conditions += we.Stats.Conditions
-					e.Stats.Proved += we.Stats.Proved
-					e.Stats.InductionRuns += we.Stats.InductionRuns
-					e.Stats.CacheHits += we.Stats.CacheHits
-					e.Stats.InductionIters += we.Stats.InductionIters
-					e.Stats.InductionCands += we.Stats.InductionCands
-					mu.Unlock()
-				}()
-				wkObs.Begin("chunk", fmt.Sprintf("chunk-%d", i))
-				for _, it := range chunks[i] {
-					if it.group != nil {
-						cond = conds[it.group.members[0]].ID
-						gp := we.proveGroup(conds, *it.group)
-						for _, idx := range it.group.members {
-							cond = conds[idx].ID
-							out[idx] = we.proveCond(conds[idx], gp)
-						}
-					} else {
-						cond = conds[it.single].ID
-						out[it.single] = we.proveCond(conds[it.single], false)
-					}
-				}
-				wkObs.End("conds", fmt.Sprint(len(chunks[i])))
-			}
-
-			for ctx.Err() == nil && failure.Load() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(order) {
-					break
-				}
-				// One engine per chunk: the chunk's verdicts are a pure
-				// function of the chunk, independent of which worker
-				// runs it or when. Chunks are pulled in scheduled
-				// (cheapest-first) order.
-				runChunk(order[i])
-			}
+			work(wkObs)
 		}()
 	}
+	work(e.Obs.Fork())
 	wg.Wait()
 
 	merged := proverStats.Snapshot()
@@ -282,4 +253,20 @@ func (e *Engine) proveParallel(ctx context.Context, conds []*annotate.GlobalCond
 		return out, pe
 	}
 	return out, ctx.Err()
+}
+
+// worker returns the engine of one pool worker: a prover of its own
+// over e's prover cache, e's query and loop-entry caches, and its own
+// crossing cache and fresh-variable counter, which carry over between
+// the chunks the worker proves.
+func (e *Engine) worker(wkObs *obs.Worker) *Engine {
+	p := solver.NewShared(e.P.SharedCache())
+	p.Lim = e.P.Lim
+	p.Obs = wkObs
+	p.Intern = e.P.Intern
+	p.Ctl = e.P.Ctl
+	we := New(e.Res, p, e.Opts)
+	we.Obs = wkObs
+	we.cache, we.entryCache = e.cache, e.entryCache
+	return we
 }

@@ -4,8 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"mcsafe/internal/annotate"
 	"mcsafe/internal/expr"
-	"mcsafe/internal/solver"
 )
 
 // TestBuildChunksPartition checks the pool's work partition: every
@@ -109,33 +109,22 @@ func TestScheduleChunksCheapestFirst(t *testing.T) {
 	}
 }
 
-// TestProveParallelMatchesSequential proves Figure 1's conditions on
-// the legacy sequential path and through the pool, and requires the
-// same verdicts in the same order plus the same condition counters.
-func TestProveParallelMatchesSequential(t *testing.T) {
-	seq := build(t, fig1Asm, fig1Spec, "")
-	seqOut := seq.e.Prove(seq.ann.Conds)
-
-	for _, par := range []int{2, 4, 8} {
-		pl := build(t, fig1Asm, fig1Spec, "")
-		pl.e.P = solver.NewShared(solver.NewShardedCache())
-		pl.e.Opts.Parallelism = par
-		out := pl.e.Prove(pl.ann.Conds)
-
-		if len(out) != len(seqOut) {
-			t.Fatalf("par %d: %d results, want %d", par, len(out), len(seqOut))
-		}
-		for i := range out {
-			if out[i].Proved != seqOut[i].Proved || out[i].Detail != seqOut[i].Detail {
-				t.Fatalf("par %d cond %d: (%v, %q), want (%v, %q)", par, i,
-					out[i].Proved, out[i].Detail, seqOut[i].Proved, seqOut[i].Detail)
+// proveReference is the sequential loop Phase 5 ran before the pool
+// became its only path, kept as a test oracle: one engine and one
+// prover for every condition, every bounds group proved up front, then
+// each condition in order.
+func (e *Engine) proveReference(conds []*annotate.GlobalCond) []CondResult {
+	groupProved := make([]bool, len(conds))
+	for _, g := range boundsGroups(conds) {
+		if e.proveGroup(conds, g) {
+			for _, idx := range g.members {
+				groupProved[idx] = true
 			}
 		}
-		if pl.e.Stats.Conditions != seq.e.Stats.Conditions ||
-			pl.e.Stats.Proved != seq.e.Stats.Proved {
-			t.Fatalf("par %d: stats (%d, %d), want (%d, %d)", par,
-				pl.e.Stats.Conditions, pl.e.Stats.Proved,
-				seq.e.Stats.Conditions, seq.e.Stats.Proved)
-		}
 	}
+	out := make([]CondResult, len(conds))
+	for i, c := range conds {
+		out[i] = e.proveCond(c, groupProved[i])
+	}
+	return out
 }

@@ -24,13 +24,9 @@
 // (Program.Fingerprint, Spec.Hash), results have a stable versioned wire
 // encoding (Result.Wire), and cmd/mcsafed serves the whole pipeline over
 // HTTP with a persistent verdict store keyed by those addresses.
-//
-// The package-level Check, CheckWithOptions, and CheckAll functions are
-// deprecated shims over the Checker API, kept for source compatibility.
 package mcsafe
 
 import (
-	"context"
 	"fmt"
 
 	"mcsafe/internal/core"
@@ -185,8 +181,8 @@ type Options struct {
 	DisableGeneralization bool
 	DisableDNF            bool
 	// Parallelism is the worker count for global verification
-	// (Phase 5): 0 means GOMAXPROCS, 1 forces the exact sequential
-	// legacy path. The verdict, violations, and their ordering are
+	// (Phase 5): 0 means GOMAXPROCS, and 1 proves on the calling
+	// goroutine. The verdict, violations, and their ordering are
 	// identical at every setting.
 	Parallelism int
 	// Budget is the check's resource envelope (wall-clock deadline,
@@ -194,27 +190,6 @@ type Options struct {
 	// disables governance; exhaustion degrades affected conditions to
 	// conservative CodeResource violations, never acceptances.
 	Budget Budget
-}
-
-// Check runs the five-phase safety-checking analysis.
-//
-// Deprecated: build a Checker instead — New().Check(ctx, prog, spec) —
-// which adds context cancellation, functional options, and reuse across
-// programs. This shim is kept for source compatibility and delegates
-// unchanged.
-func Check(prog *Program, spec *Spec) (*Result, error) {
-	return New().Check(context.Background(), prog, spec)
-}
-
-// CheckWithOptions runs the analysis with explicit tuning.
-//
-// Deprecated: build a Checker with functional options instead, e.g.
-// New(WithParallelism(4), WithBudget(b)).Check(ctx, prog, spec). This
-// shim is kept for source compatibility and delegates unchanged.
-func CheckWithOptions(prog *Program, spec *Spec, opts Options) (*Result, error) {
-	c := New()
-	c.opts = opts
-	return c.Check(context.Background(), prog, spec)
 }
 
 // DumpTypestate renders the typestate-propagation results per

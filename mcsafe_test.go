@@ -126,13 +126,8 @@ func TestBinaryTamperingDetected(t *testing.T) {
 }
 
 func TestCheckNilArguments(t *testing.T) {
-	// The deprecated package-level shim stays covered here; it must
-	// behave exactly like New().Check.
-	if _, err := Check(nil, nil); err == nil {
-		t.Fatal("nil arguments should error")
-	}
 	if _, err := New().Check(context.Background(), nil, nil); err == nil {
-		t.Fatal("nil arguments should error via Checker too")
+		t.Fatal("nil arguments should error")
 	}
 }
 
@@ -155,7 +150,7 @@ func TestOptionsAblation(t *testing.T) {
 	// synthesized (Section 5.2.2 requires it), so the checker rejects.
 	spec, _ := ParseSpec(fig1Spec)
 	prog, _ := Assemble(fig1Asm, spec, "")
-	res, err := CheckWithOptions(prog, spec, Options{DisableGeneralization: true, DisableDNF: true})
+	res, err := New(WithoutGeneralization(), WithoutDNF()).Check(context.Background(), prog, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,12 @@ package mcsafe
 // Determinism of the Phase 5 worker pool: at every Parallelism setting
 // the checker must report byte-identical verdicts — the same Safe flag,
 // the same violation list in the same order, and the same per-condition
-// proved/not-proved verdicts. The pool guarantees this by partitioning
-// the conditions independently of the worker count, proving each chunk
-// with a fresh engine, and sharing only boolean verdict caches keyed by
-// complete canonical formulas (see internal/vcgen/pool.go).
+// proved/not-proved verdicts. The pool partitions the conditions
+// independently of the worker count and shares only boolean verdict
+// caches keyed by complete canonical formulas; a worker's own engine
+// carries invariants and fresh-variable numbering between its chunks,
+// so identity also rests on prover answers not depending on that
+// numbering (see internal/vcgen/pool.go).
 
 import (
 	"context"
@@ -53,9 +55,10 @@ func verdictOf(res *core.Result) verdict {
 }
 
 // TestParallelDeterminism checks every Figure 9 program at Parallelism
-// 1 (the exact legacy path), 4, and GOMAXPROCS, and requires identical
-// verdicts. The fast programs run several repetitions per setting so a
-// scheduling-dependent divergence would have more chances to surface.
+// 1 (one worker on the calling goroutine), 4, and GOMAXPROCS, and
+// requires identical verdicts. The fast programs run several repetitions
+// per setting so a scheduling-dependent divergence would have more
+// chances to surface.
 func TestParallelDeterminism(t *testing.T) {
 	for _, b := range progs.All() {
 		b := b
@@ -144,8 +147,7 @@ func TestCheckAllBatch(t *testing.T) {
 }
 
 // TestCheckAllPublic drives Checker.CheckAll with assembled programs,
-// matching what cmd/mcsafe's batch mode does, and keeps the deprecated
-// package-level CheckAll shim covered.
+// matching what cmd/mcsafe's batch mode does.
 func TestCheckAllPublic(t *testing.T) {
 	spec, err := ParseSpec(`
 region V
@@ -186,10 +188,6 @@ allow V int[n] rfo
 	out := New().CheckAll(context.Background(), items, 2)
 	if len(out) != 3 {
 		t.Fatalf("%d outcomes for 3 items", len(out))
-	}
-	// The deprecated shim must agree with the Checker path.
-	if shim := CheckAll(items[:1], 1); len(shim) != 1 || shim[0].Err != nil || !shim[0].Result.Safe {
-		t.Fatalf("deprecated CheckAll shim disagrees: %+v", shim)
 	}
 	for _, i := range []int{0, 1} {
 		if out[i].Err != nil {

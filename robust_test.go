@@ -193,6 +193,15 @@ func TestInternalErrorPropagation(t *testing.T) {
 		{faults.Lift, "prepare", false},
 		{faults.SolverStep, "global", true},
 	}
+	spec, err := ParseSpec(fig1Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Assemble(fig1Asm, spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantProgram := prog.Fingerprint().String()
 	for _, tc := range cases {
 		t.Run(string(tc.point), func(t *testing.T) {
 			restore := faults.Activate(faults.NewPlan(faults.Fault{Point: tc.point, Kind: faults.Panic}))
@@ -215,8 +224,8 @@ func TestInternalErrorPropagation(t *testing.T) {
 			if !strings.Contains(ie.Panic, "injected panic") {
 				t.Errorf("panic value not recorded: %q", ie.Panic)
 			}
-			if ie.ProgramHash == 0 {
-				t.Error("InternalError without a program fingerprint")
+			if ie.Program != wantProgram {
+				t.Errorf("InternalError names program %q, want its fingerprint %s", ie.Program, wantProgram)
 			}
 			if tc.wantCond && ie.Cond < 0 {
 				t.Errorf("InternalError.Cond = %d, want the condition being proved", ie.Cond)

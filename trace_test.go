@@ -171,7 +171,8 @@ func TestTraceBalanceAndCounters(t *testing.T) {
 
 // TestTraceCounterDeterminism runs each program twice at Parallelism 1:
 // the merged counters and the timing-stripped event streams must be
-// byte-identical — the sequential path is fully deterministic.
+// byte-identical — one worker pulls the chunks in a fixed order, so
+// Parallelism 1 is fully deterministic.
 func TestTraceCounterDeterminism(t *testing.T) {
 	for _, b := range progs.All() {
 		b := b
