@@ -113,7 +113,7 @@ func encodeCampaign(seed int64, n int) error {
 		}
 	}
 	for _, b := range progs.Sorted() {
-		prog, _, err := b.BuildNative()
+		prog, _, err := b.Build()
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"mcsafe/internal/expr"
+	"mcsafe/internal/isa"
 	"mcsafe/internal/policy"
 	"mcsafe/internal/rtl"
 	"mcsafe/internal/sparc"
@@ -66,7 +67,7 @@ type World struct {
 
 const (
 	// dataBase is where entity allocations start: far from address 0 (so
-	// null-pointer offsets fault), from the code (DefaultBase), and from
+	// null-pointer offsets fault), from the code (isa.DefaultBase), and from
 	// the stack.
 	dataBase = 0x00200000
 	// regionGap separates allocations so small out-of-bounds offsets
@@ -452,7 +453,7 @@ func (w *World) Classify(addr uint32, size int, write bool) *Trap {
 // nil with a reason string when the run was trap-free ("exit") or
 // inconclusive ("steps", or an interpreter fault outside the oracle's
 // trap set, e.g. division by zero on a mutant).
-func (w *World) Exec(prog *sparc.Program, maxSteps int) (*Trap, string) {
+func (w *World) Exec(prog *isa.Program, maxSteps int) (*Trap, string) {
 	m := sparc.NewMachine(prog)
 	for addr, b := range w.mem {
 		m.Mem[addr] = b

@@ -3,6 +3,7 @@ package difftest
 import (
 	"testing"
 
+	"mcsafe/internal/isa"
 	"mcsafe/internal/progs"
 	"mcsafe/internal/solver"
 	"mcsafe/internal/sparc"
@@ -43,7 +44,7 @@ func FuzzAsmRoundTrip(f *testing.F) {
 		f.Add(b.Source)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		prog, err := sparc.Assemble(src, sparc.AsmOptions{})
+		prog, err := sparc.Arch.Assemble(src, isa.AsmOptions{})
 		if err != nil {
 			return // rejected inputs are fine; panics are not
 		}

@@ -6,7 +6,6 @@ import (
 
 	"mcsafe/internal/core"
 	"mcsafe/internal/gen"
-	"mcsafe/internal/sparc"
 )
 
 // The generated-program arm of the soundness oracle: where the mutant
@@ -53,11 +52,11 @@ func CheckGenFixture(cfg gen.Config, worlds, maxSteps int, r *rand.Rand) (int, e
 	if again := gen.Generate(cfg); *again != *f {
 		return 0, fmt.Errorf("%s: generation is not deterministic", f.Name)
 	}
-	prog, spec, err := f.BuildNative()
+	prog, spec, err := f.Build()
 	if err != nil {
 		return 0, err
 	}
-	res, err := core.Check(sparc.ToISA(prog), spec, core.Options{})
+	res, err := core.Check(prog, spec, core.Options{})
 	if err != nil {
 		return 0, fmt.Errorf("%s: check: %w", f.Name, err)
 	}

@@ -3,6 +3,7 @@ package difftest
 import (
 	"testing"
 
+	"mcsafe/internal/isa"
 	"mcsafe/internal/rtl"
 	"mcsafe/internal/sparc"
 )
@@ -83,7 +84,7 @@ func FuzzLift(f *testing.F) {
 		}
 
 		nop := uint32(0x01000000)
-		prog, err := sparc.FromWords([]uint32{w, nop, nop, nop}, 0, nil, nil)
+		prog, err := isa.FromWords(sparc.Arch, []uint32{w, nop, nop, nop}, 0, nil, nil)
 		if err != nil {
 			return
 		}

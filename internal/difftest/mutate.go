@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"mcsafe/internal/isa"
 	"mcsafe/internal/sparc"
 )
 
@@ -14,19 +15,19 @@ type Mutant struct {
 	Desc  string // human-readable description of the tweak
 }
 
-// Apply returns a copy of p with the mutant's instruction replaced. The
-// symbol table, procedure map, and entry point are shared: a single-word
-// mutant leaves program structure intact, which is exactly what both the
-// checker and the interpreter's external-call resolution assume.
-func (m Mutant) Apply(p *sparc.Program) (*sparc.Program, error) {
-	insn, err := sparc.Decode(m.Word)
+// Apply returns a copy of p with the mutant's word replaced and lowered
+// through p.Arch. The symbol table, procedure map, entry point and
+// source map are shared: a single-word mutant leaves program structure
+// intact, which is exactly what both the checker and the interpreter's
+// external-call resolution assume.
+func (m Mutant) Apply(p *isa.Program) (*isa.Program, error) {
+	insn, err := p.Arch.Lower(m.Word)
 	if err != nil {
 		return nil, err
 	}
 	q := *p
 	q.Words = append([]uint32(nil), p.Words...)
-	q.Insns = append([]sparc.Insn(nil), p.Insns...)
-	insn.Line = p.Insns[m.Index].Line
+	q.Insns = append([]isa.Insn(nil), p.Insns...)
 	q.Words[m.Index] = m.Word
 	q.Insns[m.Index] = insn
 	return &q, nil
@@ -45,7 +46,7 @@ var flipBits = []uint{0, 1, 2, 5, 13, 14, 19, 25, 29}
 // longer decode are dropped here — an undecodable word never reaches
 // the checker or the interpreter, both of which consume decoded
 // programs.
-func Mutants(p *sparc.Program, r *rand.Rand, max int) []Mutant {
+func Mutants(p *isa.Program, r *rand.Rand, max int) []Mutant {
 	var out []Mutant
 	seen := make(map[[2]uint32]bool)
 	add := func(idx int, w uint32, desc string) {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mcsafe/internal/isa"
 	"mcsafe/internal/policy"
 	"mcsafe/internal/progs"
 	"mcsafe/internal/sparc"
@@ -42,7 +43,7 @@ func TestDiffOracleDetects(t *testing.T) {
 `, "misalign"},
 	}
 	for _, tc := range cases {
-		prog, err := sparc.Assemble(tc.src, sparc.AsmOptions{
+		prog, err := sparc.Arch.Assemble(tc.src, isa.AsmOptions{
 			DataSyms: spec.DataSyms(),
 			Externs:  spec.TrustedNames(),
 		})

@@ -3,7 +3,9 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 
+	"mcsafe/internal/isa"
 	"mcsafe/internal/sparc"
 )
 
@@ -126,24 +128,26 @@ func CheckWordRoundTrip(w uint32) error {
 }
 
 // CheckProgramRoundTrip asserts the decoder laws on every word of an
-// assembled program, and that the program's decoded view matches a fresh
-// decode of its words.
-func CheckProgramRoundTrip(p *sparc.Program) error {
-	insns, err := sparc.DecodeAll(p.Words)
-	if err != nil {
-		return fmt.Errorf("DecodeAll: %v", err)
-	}
+// assembled SPARC program, that every word re-encodes bit-identically,
+// and that the program's lowered view matches a fresh lowering of its
+// words.
+func CheckProgramRoundTrip(p *isa.Program) error {
 	for idx, w := range p.Words {
 		if err := CheckWordRoundTrip(w); err != nil {
 			return fmt.Errorf("word %d: %v", idx, err)
 		}
-		got := insns[idx]
-		want := p.Insns[idx]
-		want.Line = 0 // fresh decode carries no source map
-		if got != want {
-			return fmt.Errorf("word %d: program insn %v != decoded %v", idx, want, got)
+		got, err := p.Arch.Lower(w)
+		if err != nil {
+			return fmt.Errorf("word %d: lower: %v", idx, err)
 		}
-		w2, err := sparc.Encode(got)
+		if want := p.Insns[idx]; !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("word %d: program insn %q %v != lowered %q %v", idx, want.Text, want.RTL, got.Text, got.RTL)
+		}
+		d, err := sparc.Decode(w)
+		if err != nil {
+			return fmt.Errorf("word %d: decode: %v", idx, err)
+		}
+		w2, err := sparc.Encode(d)
 		if err != nil {
 			return fmt.Errorf("word %d: re-encode: %v", idx, err)
 		}

@@ -50,7 +50,7 @@ func TestDiffWordRoundTrip(t *testing.T) {
 // fresh decode of the emitted words.
 func TestDiffProgramRoundTrip(t *testing.T) {
 	for _, b := range progs.All() {
-		prog, _, err := b.BuildNative()
+		prog, _, err := b.Build()
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

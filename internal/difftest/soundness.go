@@ -7,7 +7,6 @@ import (
 
 	"mcsafe/internal/core"
 	"mcsafe/internal/progs"
-	"mcsafe/internal/sparc"
 )
 
 // OracleConfig parameterizes one soundness-oracle sweep.
@@ -173,7 +172,7 @@ func RunSoundness(cfg OracleConfig) ([]Finding, OracleStats, error) {
 		if b == nil {
 			return nil, stats, fmt.Errorf("unknown benchmark %q", name)
 		}
-		prog, spec, err := b.BuildNative()
+		prog, spec, err := b.Build()
 		if err != nil {
 			return nil, stats, err
 		}
@@ -202,7 +201,7 @@ func RunSoundness(cfg OracleConfig) ([]Finding, OracleStats, error) {
 				continue
 			}
 			safe, panicked, hung, codes := checkSafeTimed(cfg.InputTimeout, func() (*core.Result, error) {
-				return core.Check(sparc.ToISA(mp), spec, core.Options{
+				return core.Check(mp, spec, core.Options{
 					Budget: core.Budget{Deadline: cfg.InputTimeout},
 				})
 			})

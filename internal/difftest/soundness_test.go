@@ -16,7 +16,7 @@ import (
 // since whether the latent violation fires depends on the drawn world.
 func TestDiffInterpBaseline(t *testing.T) {
 	for _, b := range progs.All() {
-		prog, spec, err := b.BuildNative()
+		prog, spec, err := b.Build()
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

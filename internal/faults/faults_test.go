@@ -28,7 +28,6 @@ import (
 	"mcsafe/internal/leakcheck"
 	"mcsafe/internal/policy"
 	"mcsafe/internal/progs"
-	"mcsafe/internal/sparc"
 )
 
 // chaosFull reports whether the nightly full sweep is requested.
@@ -49,11 +48,11 @@ func chaosPrograms() []string {
 
 // built caches program builds so the sweeps don't re-assemble per seed.
 var built = map[string]struct {
-	prog *sparc.Program
+	prog *isa.Program
 	spec *policy.Spec
 }{}
 
-func buildProg(t *testing.T, name string) (*sparc.Program, *policy.Spec) {
+func buildProg(t *testing.T, name string) (*isa.Program, *policy.Spec) {
 	t.Helper()
 	if c, ok := built[name]; ok {
 		return c.prog, c.spec
@@ -62,12 +61,12 @@ func buildProg(t *testing.T, name string) (*sparc.Program, *policy.Spec) {
 	if b == nil {
 		t.Fatalf("unknown benchmark %q", name)
 	}
-	prog, spec, err := b.BuildNative()
+	prog, spec, err := b.Build()
 	if err != nil {
 		t.Fatalf("building %s: %v", name, err)
 	}
 	built[name] = struct {
-		prog *sparc.Program
+		prog *isa.Program
 		spec *policy.Spec
 	}{prog, spec}
 	return prog, spec
@@ -135,7 +134,7 @@ func TestChaosSeedSweep(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		plan, f := faults.PlanFromSeed(seed, cancel)
 		restore := faults.Activate(plan)
-		res, err := core.CheckContext(ctx, sparc.ToISA(prog), spec, core.Options{
+		res, err := core.CheckContext(ctx, prog, spec, core.Options{
 			// The deadline bounds Repeat-delay faults; it is generous
 			// enough that no fast benchmark ever trips it on the merits.
 			Budget: core.Budget{Deadline: 2 * time.Second},
@@ -168,7 +167,7 @@ func TestChaosMutants(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				plan, f := faults.PlanFromSeed(seed*1000003+int64(mi), cancel)
 				restore := faults.Activate(plan)
-				res, cerr := core.CheckContext(ctx, sparc.ToISA(mp), spec, core.Options{
+				res, cerr := core.CheckContext(ctx, mp, spec, core.Options{
 					Budget: core.Budget{Deadline: 2 * time.Second},
 				})
 				restore()
@@ -197,7 +196,7 @@ func TestPanicContainedAtEveryPoint(t *testing.T) {
 		restore := faults.Activate(faults.NewPlan(faults.Fault{Point: pt, Kind: faults.Panic}))
 		// Parallelism 4 keeps the proving pool (and so WorkerStart and
 		// the shared cache) on the exercised path.
-		res, err := core.Check(sparc.ToISA(prog), spec, core.Options{Parallelism: 4})
+		res, err := core.Check(prog, spec, core.Options{Parallelism: 4})
 		restore()
 		if err == nil {
 			t.Errorf("%s: panic produced no error (res=%+v)", pt, res)
@@ -219,7 +218,7 @@ func TestPanicContainedAtEveryPoint(t *testing.T) {
 		if !strings.Contains(ie.Panic, "injected panic at "+string(pt)) {
 			t.Errorf("%s: panic value not recorded: %q", pt, ie.Panic)
 		}
-		if fp := isa.Fingerprint(sparc.ToISA(prog)); ie.Program != hex.EncodeToString(fp[:]) {
+		if fp := isa.Fingerprint(prog); ie.Program != hex.EncodeToString(fp[:]) {
 			t.Errorf("%s: program %s, want the content address %x", pt, ie.Program, fp)
 		}
 		if len(ie.Stack) == 0 {
@@ -236,7 +235,7 @@ func TestBatchSurvivesPanickingItem(t *testing.T) {
 	var items []core.CheckItem
 	for _, name := range chaosPrograms() {
 		prog, spec := buildProg(t, name)
-		items = append(items, core.CheckItem{Prog: sparc.ToISA(prog), Spec: spec})
+		items = append(items, core.CheckItem{Prog: prog, Spec: spec})
 	}
 	// The third solver tick panics: items with global conditions fail
 	// with a contained error; any item that never reaches a third tick
@@ -274,13 +273,13 @@ func TestBatchSurvivesPanickingItem(t *testing.T) {
 func TestChaosLeavesNoResidue(t *testing.T) {
 	defer leakcheck.Check(t)()
 	prog, spec := buildProg(t, "Sum")
-	baseline, err := core.Check(sparc.ToISA(prog), spec, core.Options{})
+	baseline, err := core.Check(prog, spec, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	restore := faults.Activate(faults.NewPlan(faults.Fault{Point: faults.SolverStep, Kind: faults.Panic}))
-	if _, err := core.Check(sparc.ToISA(prog), spec, core.Options{}); err == nil {
+	if _, err := core.Check(prog, spec, core.Options{}); err == nil {
 		t.Fatal("armed panic produced no error")
 	}
 	restore()
@@ -288,7 +287,7 @@ func TestChaosLeavesNoResidue(t *testing.T) {
 		t.Fatal("plan still armed after restore")
 	}
 
-	after, err := core.Check(sparc.ToISA(prog), spec, core.Options{})
+	after, err := core.Check(prog, spec, core.Options{})
 	if err != nil {
 		t.Fatalf("clean check after chaos failed: %v", err)
 	}

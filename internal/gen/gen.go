@@ -128,24 +128,6 @@ func (f *Fixture) Build() (*isa.Program, *policy.Spec, error) {
 	return prog, spec, nil
 }
 
-// BuildNative assembles the fixture into its native SPARC container —
-// for the differential-test oracle's concrete executions.
-func (f *Fixture) BuildNative() (*sparc.Program, *policy.Spec, error) {
-	spec, err := policy.Parse(f.Spec, sparc.Arch)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: spec: %v", f.Name, err)
-	}
-	prog, err := sparc.Assemble(f.Asm, sparc.AsmOptions{
-		DataSyms: spec.DataSyms(),
-		Entry:    f.Entry,
-		Externs:  spec.TrustedNames(),
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: asm: %v", f.Name, err)
-	}
-	return prog, spec, nil
-}
-
 // specText is the host specification every generated program is checked
 // against: a host integer array with a symbolic bound, a four-field
 // host record, and a nullable linked list — the three data shapes the

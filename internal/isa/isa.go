@@ -2,7 +2,8 @@
 // interface an instruction-set front-end implements (decode, lift to
 // RTL, register-file description, calling/stack convention, pipeline
 // traits), the ISA-neutral Program container every later phase
-// consumes, and the registry front-ends self-register into.
+// consumes, the one assembler driver and loader that build it, and the
+// registry front-ends self-register into.
 //
 // The safety-checking pipeline (typestate propagation → annotation →
 // local checking → global VC proving) is ISA-independent: it sees only
@@ -84,22 +85,6 @@ type Convention struct {
 	Window WindowLayout
 }
 
-// AsmOptions configures assembly of a source program.
-type AsmOptions struct {
-	// Base virtual address for the first instruction (the front-end's
-	// default if 0).
-	Base uint32
-	// DataSyms assigns virtual addresses to data symbols referenced by
-	// address-formation idioms ("set sym,%rd", "la rd,sym").
-	DataSyms map[string]uint32
-	// Entry names the entry label; defaults to the first instruction.
-	Entry string
-	// Externs names call targets defined outside the program (trusted
-	// host functions); each is assigned a slot past the last
-	// instruction, as a linker would resolve an external symbol.
-	Externs map[string]bool
-}
-
 // Arch is one instruction-set front-end. Implementations live in
 // internal/sparc and internal/riscv and register themselves; every
 // other package reaches them only through this interface.
@@ -113,11 +98,13 @@ type Arch interface {
 	Traits() Traits
 	// Conv is the calling/stack convention.
 	Conv() *Convention
-	// Assemble builds a Program from assembly source.
+	// Assemble builds a Program from assembly source: the package-level
+	// Assemble driver run with the front-end's line parser and encoder.
 	Assemble(src string, opts AsmOptions) (*Program, error)
-	// FromWords builds a Program from raw machine words plus optional
-	// loader tables — the binary-first entry point.
-	FromWords(words []uint32, base uint32, symbols map[string]int, dataSyms map[string]uint32) (*Program, error)
+	// Lower decodes one machine word and lifts it: its RTL, its
+	// disassembly text and its return flag. It is the only way a word
+	// becomes an Insn, for assembled and loaded programs alike.
+	Lower(word uint32) (Insn, error)
 }
 
 var (

@@ -86,7 +86,8 @@ type Program struct {
 	// Symbols maps every label to its instruction index.
 	Symbols map[string]int
 	// Procs lists labels that are procedure entry points (call targets
-	// plus the program entry), sorted by instruction index.
+	// plus the program entry), sorted by instruction index, one per
+	// entry: the least label at its index.
 	Procs []string
 	// Entry is the instruction index where execution begins.
 	Entry int

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"testing"
 
+	"mcsafe/internal/isa"
 	"mcsafe/internal/sparc"
 )
 
@@ -37,9 +38,9 @@ func watcher(t *testing.T, name string, wins []window) func(uint32, int, bool) {
 	}
 }
 
-func assemble(t *testing.T, b *Benchmark) *sparc.Program {
+func assemble(t *testing.T, b *Benchmark) *isa.Program {
 	t.Helper()
-	prog, _, err := b.BuildNative()
+	prog, _, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

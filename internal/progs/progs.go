@@ -70,25 +70,6 @@ func (b *Benchmark) Build() (*isa.Program, *policy.Spec, error) {
 	return prog, spec, nil
 }
 
-// BuildNative assembles the program into its native SPARC container —
-// for the differential-test oracle, which drives the SPARC machine model
-// directly (sparc.ToISA lifts the result for the neutral pipeline).
-func (b *Benchmark) BuildNative() (*sparc.Program, *policy.Spec, error) {
-	spec, err := policy.Parse(b.Spec, sparc.Arch)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %v", b.Name, err)
-	}
-	prog, err := sparc.Assemble(b.Source, sparc.AsmOptions{
-		DataSyms: spec.DataSyms(),
-		Entry:    b.Entry,
-		Externs:  spec.TrustedNames(),
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %v", b.Name, err)
-	}
-	return prog, spec, nil
-}
-
 // Check runs the five-phase checker on the benchmark.
 func (b *Benchmark) Check(opts core.Options) (*core.Result, error) {
 	prog, spec, err := b.Build()

@@ -2,217 +2,21 @@ package riscv
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// DefaultBase is the virtual address assigned to the first instruction
-// of an assembled program.
-const DefaultBase uint32 = 0x10000
-
-// Program is an assembled (or externally supplied) RV32I program; the
-// fields mirror the SPARC front-end's container and are lifted into the
-// ISA-neutral isa.Program by the Arch adapter.
-type Program struct {
-	Words    []uint32
-	Insns    []Insn
-	Base     uint32
-	Symbols  map[string]int
-	Procs    []string
-	Entry    int
-	DataSyms map[string]uint32
-	SrcLines []int
-}
-
-// AsmOptions configures assembly.
-type AsmOptions struct {
-	Base     uint32
-	DataSyms map[string]uint32
-	Entry    string
-	Externs  map[string]bool
-}
-
-// Assemble runs a two-pass assembler over RV32I assembly source in
-// standard syntax ("addi a0, a0, 1", "lw a1, 0(a0)", "beq a0, zero,
-// done"). Pseudo-instructions li/la/mv/j/call/ret/nop/beqz/bnez are
-// expanded; labels are resolved to displacements; the result is encoded
-// to machine words and re-decoded so Program.Insns is exactly what a
-// checker sees when handed the binary.
-func Assemble(src string, opts AsmOptions) (*Program, error) {
-	base := opts.Base
-	if base == 0 {
-		base = DefaultBase
-	}
-
-	var insns []Insn
-	labels := make(map[string]int)
-	var pendingLabels []string
-
-	for lineNo, text := range strings.Split(src, "\n") {
-		lbls, parsed, err := parseLine(text, lineNo+1, opts.DataSyms)
-		if err != nil {
-			return nil, err
-		}
-		pendingLabels = append(pendingLabels, lbls...)
-		if len(parsed) == 0 {
-			continue
-		}
-		for _, l := range pendingLabels {
-			if _, dup := labels[l]; dup {
-				return nil, fmt.Errorf("line %d: duplicate label %q", lineNo+1, l)
-			}
-			labels[l] = len(insns)
-		}
-		pendingLabels = pendingLabels[:0]
-		insns = append(insns, parsed...)
-	}
-	if len(pendingLabels) > 0 {
-		for _, l := range pendingLabels {
-			labels[l] = len(insns)
-		}
-	}
-	if len(insns) == 0 {
-		return nil, fmt.Errorf("riscv: empty program")
-	}
-	// External symbols resolve to slots past the last instruction, in
-	// name order, exactly as the SPARC assembler places them — the
-	// verdict store's content addresses depend on the determinism.
-	externs := make([]string, 0, len(opts.Externs))
-	for name := range opts.Externs {
-		externs = append(externs, name)
-	}
-	sort.Strings(externs)
-	for _, name := range externs {
-		if _, defined := labels[name]; !defined {
-			labels[name] = len(insns) + len(labels)
-		}
-	}
-
-	// Pass 2: resolve targets, encode.
-	words := make([]uint32, len(insns))
-	srcLines := make([]int, len(insns))
-	callTargets := make(map[string]bool)
-	for idx := range insns {
-		insn := insns[idx]
-		srcLines[idx] = insn.Line
-		if insn.Target != "" {
-			tgt, ok := labels[insn.Target]
-			if !ok {
-				return nil, fmt.Errorf("line %d: undefined label %q", insn.Line, insn.Target)
-			}
-			insn.Disp = int32(tgt - idx)
-			if insn.Op == OpJal && insn.Rd != Zero {
-				callTargets[insn.Target] = true
-			}
-			insn.Target = ""
-		}
-		w, err := Encode(insn)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %v", insn.Line, err)
-		}
-		words[idx] = w
-	}
-
-	decoded, err := DecodeAll(words)
-	if err != nil {
-		return nil, fmt.Errorf("riscv: internal round-trip failure: %v", err)
-	}
-	for idx := range decoded {
-		decoded[idx].Line = srcLines[idx]
-	}
-
-	entry := 0
-	if opts.Entry != "" {
-		e, ok := labels[opts.Entry]
-		if !ok {
-			return nil, fmt.Errorf("riscv: entry label %q not defined", opts.Entry)
-		}
-		entry = e
-	}
-
-	var procs []string
-	for l := range callTargets {
-		if labels[l] < len(insns) {
-			procs = append(procs, l)
-		}
-	}
-	for l, idx := range labels {
-		if idx == entry && !callTargets[l] {
-			procs = append(procs, l)
-		}
-	}
-	sort.Slice(procs, func(i, j int) bool { return labels[procs[i]] < labels[procs[j]] })
-
-	return &Program{
-		Words:    words,
-		Insns:    decoded,
-		Base:     base,
-		Symbols:  labels,
-		Procs:    procs,
-		Entry:    entry,
-		DataSyms: opts.DataSyms,
-		SrcLines: srcLines,
-	}, nil
-}
-
-// FromWords builds a Program directly from machine words; symbols and
-// dataSyms may be nil. Call targets (jal with a link register) identify
-// procedure entries, as on SPARC.
-func FromWords(words []uint32, base uint32, symbols map[string]int, dataSyms map[string]uint32) (*Program, error) {
-	insns, err := DecodeAll(words)
-	if err != nil {
-		return nil, err
-	}
-	if base == 0 {
-		base = DefaultBase
-	}
-	prog := &Program{
-		Words:    append([]uint32(nil), words...),
-		Insns:    insns,
-		Base:     base,
-		Symbols:  symbols,
-		DataSyms: dataSyms,
-		SrcLines: make([]int, len(insns)),
-	}
-	if prog.Symbols == nil {
-		prog.Symbols = map[string]int{}
-	}
-	seen := map[int]bool{}
-	for idx, insn := range insns {
-		if insn.Op == OpJal && insn.Rd != Zero {
-			tgt := idx + int(insn.Disp)
-			if tgt >= 0 && tgt < len(insns) && !seen[tgt] {
-				seen[tgt] = true
-			}
-		}
-	}
-	nameOf := make(map[int]string)
-	for name, idx := range prog.Symbols {
-		nameOf[idx] = name
-	}
-	var procIdx []int
-	for idx := range seen {
-		procIdx = append(procIdx, idx)
-	}
-	if !seen[prog.Entry] {
-		procIdx = append(procIdx, prog.Entry)
-	}
-	sort.Ints(procIdx)
-	for _, idx := range procIdx {
-		name := nameOf[idx]
-		if name == "" {
-			name = fmt.Sprintf("proc_%d", idx)
-			prog.Symbols[name] = idx
-		}
-		prog.Procs = append(prog.Procs, name)
-	}
-	return prog, nil
+// parser reads RV32I assembly in standard syntax ("addi a0, a0, 1",
+// "lw a1, 0(a0)", "beq a0, zero, done"), expanding the pseudo-
+// instructions li/la/mv/j/call/ret/nop/beqz/bnez; dataSyms resolves
+// "la" operands.
+type parser struct {
+	dataSyms map[string]uint32
 }
 
 // parseLine parses one source line into leading labels and expanded
 // instructions. Comments start with "#".
-func parseLine(text string, line int, dataSyms map[string]uint32) ([]string, []Insn, error) {
+func (p *parser) parseLine(text string, line int) ([]string, []Insn, error) {
 	if i := strings.IndexByte(text, '#'); i >= 0 {
 		text = text[:i]
 	}
@@ -233,11 +37,11 @@ func parseLine(text string, line int, dataSyms map[string]uint32) ([]string, []I
 	if text == "" {
 		return labels, nil, nil
 	}
-	insns, err := parseInsn(text, line, dataSyms)
+	insns, err := p.parseInsn(text, line)
 	return labels, insns, err
 }
 
-func parseInsn(text string, line int, dataSyms map[string]uint32) ([]Insn, error) {
+func (p *parser) parseInsn(text string, line int) ([]Insn, error) {
 	mnemonic, rest, _ := strings.Cut(text, " ")
 	mnemonic = strings.ToLower(strings.TrimSpace(mnemonic))
 	var ops []string
@@ -333,7 +137,7 @@ func parseInsn(text string, line int, dataSyms map[string]uint32) ([]Insn, error
 		}
 		var v int64
 		if mnemonic == "la" {
-			addr, ok := dataSyms[ops[1]]
+			addr, ok := p.dataSyms[ops[1]]
 			if !ok {
 				return errf("unknown data symbol %q", ops[1])
 			}

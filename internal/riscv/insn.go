@@ -90,6 +90,10 @@ type Insn struct {
 	Line int
 }
 
+// Ref reports the label the instruction refers to and its source line,
+// for the assembler driver.
+func (i Insn) Ref() (string, int) { return i.Target, i.Line }
+
 // IsLoad reports whether the instruction reads memory.
 func (i Insn) IsLoad() bool {
 	switch i.Op {
@@ -328,18 +332,11 @@ func Decode(w uint32) (Insn, error) {
 	return bad("")
 }
 
-// DecodeAll decodes a word sequence, reporting the index of the first
-// undecodable word.
-func DecodeAll(words []uint32) ([]Insn, error) {
-	insns := make([]Insn, len(words))
-	for idx, w := range words {
-		insn, err := Decode(w)
-		if err != nil {
-			return nil, fmt.Errorf("word %d: %v", idx, err)
-		}
-		insns[idx] = insn
-	}
-	return insns, nil
+// encodeAt encodes a parsed instruction whose label the assembler
+// resolved to displacement disp (in instructions).
+func encodeAt(i Insn, disp int32) (uint32, error) {
+	i.Disp = disp
+	return Encode(i)
 }
 
 // Encode encodes one instruction to its machine word — the inverse of

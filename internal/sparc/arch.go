@@ -55,49 +55,15 @@ func (archImpl) Traits() isa.Traits {
 }
 
 func (archImpl) Assemble(src string, opts isa.AsmOptions) (*isa.Program, error) {
-	p, err := Assemble(src, AsmOptions{
-		Base: opts.Base, DataSyms: opts.DataSyms, Entry: opts.Entry, Externs: opts.Externs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return toISA(p), nil
+	return isa.Assemble(Arch, src, opts, (&parser{dataSyms: opts.DataSyms}).parseLine, encodeAt)
 }
 
-func (archImpl) FromWords(words []uint32, base uint32, symbols map[string]int, dataSyms map[string]uint32) (*isa.Program, error) {
-	p, err := FromWords(words, base, symbols, dataSyms)
+// Lower decodes a word and lifts it: its RTL effect sequence, its
+// disassembly text and the return-idiom flag.
+func (archImpl) Lower(w uint32) (isa.Insn, error) {
+	i, err := Decode(w)
 	if err != nil {
-		return nil, err
+		return isa.Insn{}, err
 	}
-	return toISA(p), nil
-}
-
-// ToISA lifts a native SPARC program into the ISA-neutral container —
-// exported for the differential-test oracle, which mutates and executes
-// native programs but checks them through the neutral pipeline.
-func ToISA(p *Program) *isa.Program { return toISA(p) }
-
-// toISA lifts an assembled SPARC program into the ISA-neutral container:
-// per instruction, its decoded text, its RTL effect sequence, and the
-// return-idiom flag.
-func toISA(p *Program) *isa.Program {
-	insns := make([]isa.Insn, len(p.Insns))
-	for i, insn := range p.Insns {
-		insns[i] = isa.Insn{
-			RTL:  Lift(insn),
-			Text: insn.String(),
-			Ret:  insn.IsReturn(),
-		}
-	}
-	return &isa.Program{
-		Arch:     Arch,
-		Words:    p.Words,
-		Insns:    insns,
-		Base:     p.Base,
-		Symbols:  p.Symbols,
-		Procs:    p.Procs,
-		Entry:    p.Entry,
-		DataSyms: p.DataSyms,
-		SrcLines: p.SrcLines,
-	}
+	return isa.Insn{RTL: Lift(i), Text: i.String(), Ret: i.IsReturn()}, nil
 }

@@ -84,6 +84,13 @@ func Encode(i Insn) (uint32, error) {
 	return w, nil
 }
 
+// encodeAt encodes a parsed instruction whose label the assembler
+// resolved to word displacement disp.
+func encodeAt(i Insn, disp int32) (uint32, error) {
+	i.Disp = disp
+	return Encode(i)
+}
+
 // Decode converts a 32-bit machine word back into an instruction.
 func Decode(w uint32) (Insn, error) {
 	switch w >> 30 {
@@ -138,18 +145,4 @@ func Decode(w uint32) (Insn, error) {
 		return i, nil
 	}
 	return Insn{}, fmt.Errorf("sparc: cannot decode word 0x%08x", w)
-}
-
-// DecodeAll decodes a sequence of machine words; the error identifies the
-// offending word index.
-func DecodeAll(words []uint32) ([]Insn, error) {
-	insns := make([]Insn, len(words))
-	for idx, w := range words {
-		insn, err := Decode(w)
-		if err != nil {
-			return nil, fmt.Errorf("word %d: %w", idx, err)
-		}
-		insns[idx] = insn
-	}
-	return insns, nil
 }

@@ -110,6 +110,10 @@ type Insn struct {
 	Line int
 }
 
+// Ref reports the label the instruction refers to and its source line,
+// for the assembler driver.
+func (i Insn) Ref() (string, int) { return i.Target, i.Line }
+
 // IsLoad reports whether the instruction reads memory.
 func (i Insn) IsLoad() bool {
 	switch i.Op {

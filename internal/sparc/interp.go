@@ -3,6 +3,7 @@ package sparc
 import (
 	"fmt"
 
+	"mcsafe/internal/isa"
 	"mcsafe/internal/rtl"
 )
 
@@ -11,10 +12,10 @@ import (
 // operational semantics of the checker (typestate propagation, wlp) are
 // validated against real executions on random inputs.
 //
-// The instruction semantics are not written here: Step executes the
-// lifted RTL effect sequence of each instruction (see lift.go), so the
-// interpreter, typestate propagation, and WLP generation all consume
-// the same per-opcode definition. Only the machine-state plumbing —
+// The instruction semantics are not written here: Step executes each
+// instruction's lifted RTL effect sequence (Program.Insns[pc].RTL, see
+// lift.go), so the interpreter, typestate propagation, and WLP
+// generation all consume the same per-opcode definition. Only the machine-state plumbing —
 // register windows, sparse memory, delayed control transfer, external
 // calls — lives in this file.
 //
@@ -23,15 +24,12 @@ import (
 // condition codes. Traps, floating point, and alternate address spaces
 // are out of scope, exactly as they are for the checker.
 type Machine struct {
-	prog *Program
+	prog *isa.Program
 
 	// windows[w][r] for windowed registers; globals shared.
 	globals [8]uint32
 	windows [][16]uint32 // %o0-%o7 then %l0-%l7 per window
 	cwp     int
-
-	// lifted caches the RTL effect sequence per instruction index.
-	lifted [][]rtl.Effect
 
 	// Mem is sparse byte memory.
 	Mem map[uint32]byte
@@ -62,7 +60,7 @@ type Machine struct {
 // NewMachine creates an interpreter for a program with 32 register
 // windows' worth of space (enough for the checker's non-recursive
 // programs).
-func NewMachine(p *Program) *Machine {
+func NewMachine(p *isa.Program) *Machine {
 	m := &Machine{
 		prog:    p,
 		windows: make([][16]uint32, 32),
@@ -150,17 +148,6 @@ var ErrExit = fmt.Errorf("sparc: program exited")
 // exitPC is the sentinel "return address" of the entry frame.
 const exitPC = -1
 
-// liftedAt returns the cached RTL for the instruction at index idx.
-func (m *Machine) liftedAt(idx int) []rtl.Effect {
-	if m.lifted == nil {
-		m.lifted = make([][]rtl.Effect, len(m.prog.Insns))
-	}
-	if m.lifted[idx] == nil {
-		m.lifted[idx] = Lift(m.prog.Insns[idx])
-	}
-	return m.lifted[idx]
-}
-
 // Step executes one instruction by interpreting its RTL effects. It
 // returns ErrExit on a return past the entry frame, or an error for
 // faults (out-of-range PC, window underflow, division by zero).
@@ -172,10 +159,9 @@ func (m *Machine) Step() error {
 		return fmt.Errorf("sparc: PC %d out of range", m.pc)
 	}
 	m.Steps++
-	i := m.prog.Insns[m.pc]
-	effs := m.liftedAt(m.pc)
+	effs := m.prog.Insns[m.pc].RTL
 	if effs == nil {
-		return fmt.Errorf("sparc: unsupported op %v", i.Op)
+		return fmt.Errorf("sparc: no semantics for %q", m.prog.Insns[m.pc].Text)
 	}
 	pc, npc := m.npc, m.npc+1
 	pcAddr := m.prog.AddrOf(m.pc)

@@ -5,14 +5,18 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"mcsafe/internal/isa"
 )
 
 // legacyMachine is a frozen copy of the interpreter as it existed before
 // instruction semantics moved to the RTL lifter: a hand-written switch
 // per opcode. It exists only as a differential reference — the RTL-driven
-// Machine must agree with it on every reachable state.
+// Machine must agree with it on every reachable state. It executes the
+// native decode of the program's words, never the lifted RTL.
 type legacyMachine struct {
-	prog        *Program
+	prog        *isa.Program
+	insns       []Insn
 	globals     [8]uint32
 	windows     [][16]uint32
 	cwp         int
@@ -23,9 +27,10 @@ type legacyMachine struct {
 	pendingHost string
 }
 
-func newLegacyMachine(p *Program) *legacyMachine {
+func newLegacyMachine(t *testing.T, p *isa.Program) *legacyMachine {
 	return &legacyMachine{
 		prog:    p,
+		insns:   decodeWords(t, p.Words),
 		windows: make([][16]uint32, 32),
 		cwp:     16,
 		mem:     make(map[uint32]byte),
@@ -131,7 +136,7 @@ func (m *legacyMachine) step() error {
 		return fmt.Errorf("sparc: PC %d out of range", m.pc)
 	}
 	m.steps++
-	i := m.prog.Insns[m.pc]
+	i := m.insns[m.pc]
 	pc, npc := m.npc, m.npc+1
 
 	switch {
@@ -366,13 +371,13 @@ func TestInterpMatchesLegacy(t *testing.T) {
 			}
 			words[j] = w
 		}
-		prog, err := FromWords(words, 0, nil, nil)
+		prog, err := isa.FromWords(Arch, words, 0, nil, nil)
 		if err != nil {
 			t.Fatalf("prog %d: FromWords: %v", p, err)
 		}
 
 		m := NewMachine(prog)
-		l := newLegacyMachine(prog)
+		l := newLegacyMachine(t, prog)
 		// Identical random initial state.
 		for r := Reg(1); r < 32; r++ {
 			v := rng.Uint32()

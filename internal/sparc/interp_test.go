@@ -3,12 +3,14 @@ package sparc
 import (
 	"math/rand"
 	"testing"
+
+	"mcsafe/internal/isa"
 )
 
 // runFig1 executes the Figure 1 array-summation code concretely.
 func runFig1(t *testing.T, arr []int32) int32 {
 	t.Helper()
-	p, err := Assemble(fig1Source, AsmOptions{})
+	p, err := Arch.Assemble(fig1Source, isa.AsmOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestInterpFig1RandomDifferential(t *testing.T) {
 // dynamically — every memory access of the checker-approved Figure 1
 // code stays within the declared array.
 func TestInterpMemorySafetyOfVerifiedSum(t *testing.T) {
-	p, err := Assemble(fig1Source, AsmOptions{})
+	p, err := Arch.Assemble(fig1Source, isa.AsmOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ le:
 	retl
 	nop
 `
-	p, err := Assemble(src, AsmOptions{})
+	p, err := Arch.Assemble(src, isa.AsmOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ dbl:
 	ret
 	restore
 `
-	p, err := Assemble(src, AsmOptions{Entry: "main"})
+	p, err := Arch.Assemble(src, isa.AsmOptions{Entry: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ over:
 	retl
 	nop
 `
-	p, _ := Assemble(src, AsmOptions{})
+	p, _ := Arch.Assemble(src, isa.AsmOptions{})
 	m := NewMachine(p)
 	if err := m.Run(100); err != nil {
 		t.Fatal(err)
@@ -200,7 +202,7 @@ over:
 	retl
 	nop
 `
-	p2, _ := Assemble(src2, AsmOptions{})
+	p2, _ := Arch.Assemble(src2, isa.AsmOptions{})
 	run := func(o0 uint32) uint32 {
 		m := NewMachine(p2)
 		m.SetReg(O0, o0)
@@ -228,7 +230,7 @@ func TestInterpMemOps(t *testing.T) {
 	retl
 	nop
 `
-	p, _ := Assemble(src, AsmOptions{})
+	p, _ := Arch.Assemble(src, isa.AsmOptions{})
 	m := NewMachine(p)
 	m.SetReg(O0, 0x50000)
 	m.SetReg(O0+1, 0xFFEE1234)
@@ -251,13 +253,13 @@ func TestInterpMemOps(t *testing.T) {
 
 // TestInterpFaults: runaway loops and bad jumps are reported.
 func TestInterpFaults(t *testing.T) {
-	p, _ := Assemble("loop: ba loop\nnop", AsmOptions{})
+	p, _ := Arch.Assemble("loop: ba loop\nnop", isa.AsmOptions{})
 	m := NewMachine(p)
 	if err := m.Run(100); err == nil {
 		t.Error("runaway loop should not terminate")
 	}
 
-	p2, err := Assemble("jmpl %o0,%g0,%g0\nnop\nretl\nnop", AsmOptions{})
+	p2, err := Arch.Assemble("jmpl %o0,%g0,%g0\nnop\nretl\nnop", isa.AsmOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,6 @@ import (
 	"strings"
 )
 
-// item is a parsed source element: zero or more labels followed by an
-// expanded instruction.
-type parsedInsn struct {
-	insn   Insn
-	labels []string
-}
-
 // parseError decorates errors with the source line.
 func parseError(line int, format string, args ...interface{}) error {
 	return fmt.Errorf("line %d: %s", line, fmt.Sprintf(format, args...))

@@ -1,8 +1,9 @@
 // Package sparc models the SPARC V8 instruction set: registers (including
-// register windows), the instructions the safety checker understands, a
-// two-pass assembler for authoring test inputs, and a binary encoder and
-// decoder for the three 32-bit instruction formats. The safety checker
-// proper consumes decoded machine words, never assembly text.
+// register windows), the instructions the safety checker understands,
+// the line parser the shared two-pass assembler (isa.Assemble) runs for
+// authoring test inputs, and a binary encoder and decoder for the three
+// 32-bit instruction formats. The safety checker proper consumes
+// decoded machine words, never assembly text.
 package sparc
 
 import "fmt"

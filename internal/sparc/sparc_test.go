@@ -2,8 +2,11 @@ package sparc
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"mcsafe/internal/isa"
 )
 
 func TestParseReg(t *testing.T) {
@@ -60,47 +63,69 @@ const fig1Source = `
 13: nop
 `
 
-func assembleFig1(t *testing.T) *Program {
+// assemble runs the SPARC front-end and decodes the emitted words back
+// to native instructions for field-level assertions.
+func assemble(t *testing.T, src string, opts isa.AsmOptions) (*isa.Program, []Insn) {
 	t.Helper()
-	p, err := Assemble(fig1Source, AsmOptions{})
+	p, err := Arch.Assemble(src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p, decodeWords(t, p.Words)
+}
+
+// decodeWords decodes machine words to native instructions.
+func decodeWords(t *testing.T, words []uint32) []Insn {
+	t.Helper()
+	insns := make([]Insn, len(words))
+	for idx, w := range words {
+		insn, err := Decode(w)
+		if err != nil {
+			t.Fatalf("word %d: %v", idx, err)
+		}
+		insns[idx] = insn
+	}
+	return insns
+}
+
+func assembleFig1(t *testing.T) *isa.Program {
+	t.Helper()
+	p, _ := assemble(t, fig1Source, isa.AsmOptions{})
 	return p
 }
 
 func TestAssembleFig1(t *testing.T) {
-	p := assembleFig1(t)
+	p, insns := assemble(t, fig1Source, isa.AsmOptions{})
 	if len(p.Insns) != 13 {
 		t.Fatalf("expected 13 instructions, got %d", len(p.Insns))
 	}
 	// Instruction 0 is mov expanded to or %g0,%o0,%o2.
-	i0 := p.Insns[0]
+	i0 := insns[0]
 	if i0.Op != OpOr || i0.Rs1 != G0 || i0.Imm || i0.Rs2 != O0 || i0.Rd != 10 {
 		t.Errorf("insn 0 = %v", i0)
 	}
 	// Instruction 3 is bge with displacement to label "12" (index 11).
-	i3 := p.Insns[3]
+	i3 := insns[3]
 	if i3.Op != OpBranch || i3.Cond != CondGE || i3.Disp != 8 {
 		t.Errorf("insn 3 = %+v", i3)
 	}
 	// Instruction 9 is bl back to index 5.
-	i9 := p.Insns[9]
+	i9 := insns[9]
 	if i9.Op != OpBranch || i9.Cond != CondL || i9.Disp != -4 {
 		t.Errorf("insn 9 = %+v", i9)
 	}
 	// Instruction 6 is the array load ld [%o2+%g2],%g2.
-	i6 := p.Insns[6]
+	i6 := insns[6]
 	if i6.Op != OpLd || i6.Imm || i6.Rs1 != 10 || i6.Rs2 != 2 || i6.Rd != 2 {
 		t.Errorf("insn 6 = %+v", i6)
 	}
 	// Instruction 11 is retl = jmpl %o7+8,%g0, recognized as a return.
-	if !p.Insns[11].IsReturn() {
-		t.Errorf("insn 11 = %+v not a return", p.Insns[11])
+	if !insns[11].IsReturn() {
+		t.Errorf("insn 11 = %+v not a return", insns[11])
 	}
 	// Instruction 12 is nop.
-	if !p.Insns[12].IsNop() {
-		t.Errorf("insn 12 = %+v not a nop", p.Insns[12])
+	if !insns[12].IsNop() {
+		t.Errorf("insn 12 = %+v not a nop", insns[12])
 	}
 }
 
@@ -116,7 +141,7 @@ func TestAssemblerErrors(t *testing.T) {
 		"mov 99999999,%o0",         // immediate out of simm13 for or
 	}
 	for _, src := range cases {
-		if _, err := Assemble(src, AsmOptions{}); err == nil {
+		if _, err := Arch.Assemble(src, isa.AsmOptions{}); err == nil {
 			t.Errorf("Assemble(%q) should fail", src)
 		}
 	}
@@ -136,63 +161,54 @@ start:
 	retl
 	nop
 `
-	p, err := Assemble(src, AsmOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, insns := assemble(t, src, isa.AsmOptions{})
 	// set 0x20000 -> single sethi (low bits zero); set 42 -> or %g0,42.
-	if p.Insns[0].Op != OpSethi || uint32(p.Insns[0].SImm) != 0x20000 {
-		t.Errorf("set high: %+v", p.Insns[0])
+	if insns[0].Op != OpSethi || uint32(insns[0].SImm) != 0x20000 {
+		t.Errorf("set high: %+v", insns[0])
 	}
-	if p.Insns[1].Op != OpOr || !p.Insns[1].Imm || p.Insns[1].SImm != 42 {
-		t.Errorf("set low: %+v", p.Insns[1])
+	if insns[1].Op != OpOr || !insns[1].Imm || insns[1].SImm != 42 {
+		t.Errorf("set low: %+v", insns[1])
 	}
-	if p.Insns[2].Op != OpAdd || p.Insns[2].SImm != 4 {
-		t.Errorf("inc: %+v", p.Insns[2])
+	if insns[2].Op != OpAdd || insns[2].SImm != 4 {
+		t.Errorf("inc: %+v", insns[2])
 	}
-	if p.Insns[3].Op != OpSub || p.Insns[3].SImm != 1 {
-		t.Errorf("dec: %+v", p.Insns[3])
+	if insns[3].Op != OpSub || insns[3].SImm != 1 {
+		t.Errorf("dec: %+v", insns[3])
 	}
-	if p.Insns[4].Op != OpOrcc || p.Insns[4].Rd != G0 {
-		t.Errorf("tst: %+v", p.Insns[4])
+	if insns[4].Op != OpOrcc || insns[4].Rd != G0 {
+		t.Errorf("tst: %+v", insns[4])
 	}
-	if p.Insns[5].Op != OpSub || p.Insns[5].Rs1 != G0 {
-		t.Errorf("neg: %+v", p.Insns[5])
+	if insns[5].Op != OpSub || insns[5].Rs1 != G0 {
+		t.Errorf("neg: %+v", insns[5])
 	}
-	if p.Insns[6].Op != OpXnor {
-		t.Errorf("not: %+v", p.Insns[6])
+	if insns[6].Op != OpXnor {
+		t.Errorf("not: %+v", insns[6])
 	}
-	if p.Insns[7].Op != OpSt || p.Insns[7].Rd != G0 || p.Insns[7].SImm != 4 {
-		t.Errorf("clr mem: %+v", p.Insns[7])
+	if insns[7].Op != OpSt || insns[7].Rd != G0 || insns[7].SImm != 4 {
+		t.Errorf("clr mem: %+v", insns[7])
 	}
 }
 
 func TestSetWithDataSymbol(t *testing.T) {
 	src := "set counter,%o0\nld [%o0],%o1\nretl\nnop"
-	p, err := Assemble(src, AsmOptions{DataSyms: map[string]uint32{"counter": 0x20400}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Insns[0].Op != OpSethi || uint32(p.Insns[0].SImm) != 0x20400 {
-		t.Fatalf("set sym: %+v", p.Insns[0])
+	_, insns := assemble(t, src, isa.AsmOptions{DataSyms: map[string]uint32{"counter": 0x20400}})
+	if insns[0].Op != OpSethi || uint32(insns[0].SImm) != 0x20400 {
+		t.Fatalf("set sym: %+v", insns[0])
 	}
 	// Unknown symbol fails.
-	if _, err := Assemble("set nosuch,%o0\nretl\nnop", AsmOptions{}); err == nil {
+	if _, err := Arch.Assemble("set nosuch,%o0\nretl\nnop", isa.AsmOptions{}); err == nil {
 		t.Error("unknown data symbol should fail")
 	}
 }
 
 func TestHiLoOperands(t *testing.T) {
 	src := "sethi %hi(0x12345400),%o0\nor %o0,%lo(0x12345403),%o0\nretl\nnop"
-	p, err := Assemble(src, AsmOptions{})
-	if err != nil {
-		t.Fatal(err)
+	_, insns := assemble(t, src, isa.AsmOptions{})
+	if uint32(insns[0].SImm) != 0x12345400 {
+		t.Errorf("hi: %x", uint32(insns[0].SImm))
 	}
-	if uint32(p.Insns[0].SImm) != 0x12345400 {
-		t.Errorf("hi: %x", uint32(p.Insns[0].SImm))
-	}
-	if p.Insns[1].SImm != 0x3 {
-		t.Errorf("lo: %x", p.Insns[1].SImm)
+	if insns[1].SImm != 0x3 {
+		t.Errorf("lo: %x", insns[1].SImm)
 	}
 }
 
@@ -206,21 +222,18 @@ func TestAddressingForms(t *testing.T) {
 	retl
 	nop
 `
-	p, err := Assemble(src, AsmOptions{})
-	if err != nil {
-		t.Fatal(err)
+	_, insns := assemble(t, src, isa.AsmOptions{})
+	if insns[0].SImm != -8 || insns[0].Rs1 != FP {
+		t.Errorf("fp-8: %+v", insns[0])
 	}
-	if p.Insns[0].SImm != -8 || p.Insns[0].Rs1 != FP {
-		t.Errorf("fp-8: %+v", p.Insns[0])
+	if insns[1].SImm != 0 || !insns[1].Imm {
+		t.Errorf("[reg]: %+v", insns[1])
 	}
-	if p.Insns[1].SImm != 0 || !p.Insns[1].Imm {
-		t.Errorf("[reg]: %+v", p.Insns[1])
+	if insns[3].Imm || insns[3].Rs2 != 11 {
+		t.Errorf("[reg+reg]: %+v", insns[3])
 	}
-	if p.Insns[3].Imm || p.Insns[3].Rs2 != 11 {
-		t.Errorf("[reg+reg]: %+v", p.Insns[3])
-	}
-	if p.Insns[4].Op != OpSt || p.Insns[4].Rd != O0 || p.Insns[4].SImm != 64 {
-		t.Errorf("st: %+v", p.Insns[4])
+	if insns[4].Op != OpSt || insns[4].Rd != O0 || insns[4].SImm != 64 {
+		t.Errorf("st: %+v", insns[4])
 	}
 }
 
@@ -235,12 +248,9 @@ helper:
 	retl
 	nop
 `
-	p, err := Assemble(src, AsmOptions{Entry: "main"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Insns[0].Op != OpCall || p.Insns[0].Disp != 4 {
-		t.Fatalf("call: %+v", p.Insns[0])
+	p, insns := assemble(t, src, isa.AsmOptions{Entry: "main"})
+	if insns[0].Op != OpCall || insns[0].Disp != 4 {
+		t.Fatalf("call: %+v", insns[0])
 	}
 	if len(p.Procs) != 2 || p.Procs[0] != "main" || p.Procs[1] != "helper" {
 		t.Fatalf("procs = %v", p.Procs)
@@ -252,12 +262,9 @@ helper:
 
 func TestAnnulledBranch(t *testing.T) {
 	src := "cmp %o0,%o1\nbe,a done\nadd %o0,1,%o0\ndone: retl\nnop"
-	p, err := Assemble(src, AsmOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Insns[1].Annul || p.Insns[1].Cond != CondE {
-		t.Fatalf("annulled branch: %+v", p.Insns[1])
+	_, insns := assemble(t, src, isa.AsmOptions{})
+	if !insns[1].Annul || insns[1].Cond != CondE {
+		t.Fatalf("annulled branch: %+v", insns[1])
 	}
 }
 
@@ -364,19 +371,12 @@ func TestEncodeRangeChecks(t *testing.T) {
 
 func TestFromWords(t *testing.T) {
 	p := assembleFig1(t)
-	q, err := FromWords(p.Words, 0, nil, nil)
+	q, err := isa.FromWords(Arch, p.Words, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(q.Insns) != len(p.Insns) {
-		t.Fatalf("FromWords lost instructions")
-	}
-	for i := range q.Insns {
-		a, b := q.Insns[i], p.Insns[i]
-		b.Line = 0
-		if a != b {
-			t.Errorf("insn %d differs: %+v vs %+v", i, a, b)
-		}
+	if !reflect.DeepEqual(q.Insns, p.Insns) {
+		t.Errorf("FromWords lowers differently:\n%+v\n%+v", q.Insns, p.Insns)
 	}
 	if len(q.Procs) != 1 || q.Procs[0] != "proc_0" {
 		t.Errorf("procs = %v", q.Procs)
@@ -385,16 +385,16 @@ func TestFromWords(t *testing.T) {
 
 func TestAddrMapping(t *testing.T) {
 	p := assembleFig1(t)
-	if p.AddrOf(0) != DefaultBase || p.AddrOf(3) != DefaultBase+12 {
+	if p.AddrOf(0) != isa.DefaultBase || p.AddrOf(3) != isa.DefaultBase+12 {
 		t.Error("AddrOf wrong")
 	}
-	if idx, ok := p.IndexOf(DefaultBase + 12); !ok || idx != 3 {
+	if idx, ok := p.IndexOf(isa.DefaultBase + 12); !ok || idx != 3 {
 		t.Error("IndexOf wrong")
 	}
-	if _, ok := p.IndexOf(DefaultBase + 2); ok {
+	if _, ok := p.IndexOf(isa.DefaultBase + 2); ok {
 		t.Error("unaligned address should not resolve")
 	}
-	if _, ok := p.IndexOf(DefaultBase + 4*1000); ok {
+	if _, ok := p.IndexOf(isa.DefaultBase + 4*1000); ok {
 		t.Error("out-of-range address should not resolve")
 	}
 }

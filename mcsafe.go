@@ -113,7 +113,8 @@ func AssembleArch(arch, src string, spec *Spec, entry string) (*Program, error) 
 // FromWords builds a Program from raw machine words for the default
 // (SPARC) architecture: a base address plus optional loader tables —
 // symbols maps labels to instruction indexes, dataSyms maps data-symbol
-// names to virtual addresses.
+// names to virtual addresses. The caller's symbols map is copied, never
+// written.
 func FromWords(words []uint32, base uint32, symbols map[string]int, dataSyms map[string]uint32) (*Program, error) {
 	return FromWordsArch(DefaultArch, words, base, symbols, dataSyms)
 }
@@ -125,7 +126,7 @@ func FromWordsArch(arch string, words []uint32, base uint32, symbols map[string]
 	if err != nil {
 		return nil, err
 	}
-	p, err := a.FromWords(words, base, symbols, dataSyms)
+	p, err := isa.FromWords(a, words, base, symbols, dataSyms)
 	if err != nil {
 		return nil, err
 	}
