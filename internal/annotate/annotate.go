@@ -280,7 +280,7 @@ func (a *annotator) visit(node *cfg.Node) {
 		}
 		a.check(node, CodeStack, imm <= -int64(a.conv.MinFrame), "save allocates too small a frame (%d)", imm)
 		a.check(node, CodeStack, imm%int64(a.conv.StackAlign) == 0, "save misaligns the stack (%d)", imm)
-		if fr, ok := a.res.Ini.Spec.Frames[res.G.Procs[node.Proc].Name]; ok {
+		if fr := a.res.Frames[node.Proc]; fr != nil {
 			a.check(node, CodeStack, int(-imm) >= fr.Size,
 				"save allocates %d bytes, frame annotation requires %d", -imm, fr.Size)
 		}

@@ -312,6 +312,21 @@ func (g *Graph) CallCounts() (total, trusted int) {
 // ProcOf returns the procedure a node belongs to.
 func (g *Graph) ProcOf(id int) *Proc { return g.Procs[g.Nodes[id].Proc] }
 
+// ProcAtLabel returns the procedure whose entry the label marks, resolved
+// through the program's symbols: any label at the entry, not only the
+// least one the procedure is named by.
+func (g *Graph) ProcAtLabel(label string) (*Proc, bool) {
+	idx, ok := g.Prog.Symbols[label]
+	if !ok {
+		return nil, false
+	}
+	i := sort.Search(len(g.Procs), func(i int) bool { return g.Procs[i].Lo >= idx })
+	if i < len(g.Procs) && g.Procs[i].Lo == idx {
+		return g.Procs[i], true
+	}
+	return nil, false
+}
+
 // SiteByReturn finds the call site whose return point is the given node.
 func (g *Graph) SiteByReturn(id int) *CallSite {
 	for _, s := range g.Sites {

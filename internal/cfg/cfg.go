@@ -303,6 +303,14 @@ func construct(prog *isa.Program, opts Options) (*Graph, error) {
 	for pi, s := range spans {
 		procEntryIdx[s.lo] = pi
 	}
+	// A call leaving the program names its target by the least label
+	// at the target's index, from one table built in one pass.
+	outside := map[int]string{}
+	for name, idx := range prog.Symbols {
+		if least, ok := outside[idx]; (idx < 0 || idx >= n) && (!ok || name < least) {
+			outside[idx] = name
+		}
+	}
 
 	// A control-transfer instruction carries a Branch, Call, or Jump
 	// effect. On delay-slot architectures the following instruction is
@@ -432,7 +440,7 @@ func construct(prog *isa.Program, opts Options) (*Graph, error) {
 			}
 			if site.Callee == -1 {
 				// Call leaving the program: resolve by label name.
-				name := prog.LabelAt(tgt)
+				name := outside[tgt]
 				if name == "" || (trusted != nil && !trusted[name]) {
 					return nil, fmt.Errorf("cfg: call at %d targets unknown/untrusted %q", idx, name)
 				}

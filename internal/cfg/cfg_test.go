@@ -286,6 +286,33 @@ gettime:
 	}
 }
 
+// TestExternCallNamesLeastLabel: a call that leaves the program names
+// its target by the least label at the target's index.
+func TestExternCallNamesLeastLabel(t *testing.T) {
+	src := `
+main:
+	call zz
+	nop
+	retl
+	nop
+`
+	p, err := sparc.Arch.Assemble(src, isa.AsmOptions{Entry: "main", Externs: map[string]bool{"zz": true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Symbols["aa"] = p.Symbols["zz"]
+	g, err := Build(p, Options{TrustedFuncs: map[string]bool{"aa": true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Sites[0].TrustedName; got != "aa" {
+		t.Errorf("extern call named %q, want aa", got)
+	}
+	if _, err := Build(p, Options{TrustedFuncs: map[string]bool{"zz": true}}); err == nil {
+		t.Error("a call whose least label is untrusted was accepted")
+	}
+}
+
 func TestNestedLoops(t *testing.T) {
 	src := `
 outer:

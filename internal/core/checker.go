@@ -196,6 +196,9 @@ func CheckContext(ctx context.Context, prog *isa.Program, spec *policy.Spec, opt
 		return nil, abort("prepare", err)
 	}
 	g, err := cfg.Build(prog, cfg.Options{TrustedFuncs: spec.TrustedNames()})
+	if err == nil {
+		_, err = propagate.BindFrames(g, spec)
+	}
 	if err != nil {
 		w.End()
 		return nil, abort("prepare", err)
@@ -401,6 +404,8 @@ func (r *Result) Explain(v Violation) string {
 		}
 		if a.WLP != "" {
 			fmt.Fprintf(&b, "    wlp at entry: %s\n", obs.TruncateFormula(a.WLP))
+		} else if a.Kind == "facts" {
+			b.WriteString("    checked at the node, without back-substitution\n")
 		}
 	}
 	if sp, ok := r.Trace.SpanByID(v.Span); ok {

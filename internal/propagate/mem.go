@@ -23,19 +23,25 @@ func frameDelta(bin rtl.Bin) int {
 	return int(c.V)
 }
 
-// frameSlotAt looks up a stack-frame annotation slot for the node's
-// procedure at the given %fp/%sp offset (exact match only).
-func (r *Result) frameSlotAt(node *cfg.Node, base rtl.Reg, off int) *policy.FrameSlot {
-	proc := r.G.Procs[node.Proc]
-	frames, ok := r.Ini.FrameSlots[proc.Name]
-	if !ok {
+// frameSlots returns the stack-frame annotation slots of the node's
+// procedure relative to %fp or %sp, by offset (nil when the procedure
+// has no frame annotation).
+func (r *Result) frameSlots(node *cfg.Node, base rtl.Reg) map[int]*policy.FrameSlot {
+	fr := r.Frames[node.Proc]
+	if fr == nil {
 		return nil
 	}
 	key := "fp"
 	if base == r.conv.SP {
 		key = "sp"
 	}
-	return frames[key][off]
+	return r.Ini.FrameSlots[fr.Proc][key]
+}
+
+// frameSlotAt looks up a stack-frame annotation slot for the node's
+// procedure at the given %fp/%sp offset (exact match only).
+func (r *Result) frameSlotAt(node *cfg.Node, base rtl.Reg, off int) *policy.FrameSlot {
+	return r.frameSlots(node, base)[off]
 }
 
 // frameSlotCovering finds the slot whose extent covers the given offset
@@ -43,22 +49,14 @@ func (r *Result) frameSlotAt(node *cfg.Node, base rtl.Reg, off int) *policy.Fram
 // Offsets are scanned in sorted order so overlapping annotations resolve
 // deterministically.
 func (r *Result) frameSlotCovering(node *cfg.Node, base rtl.Reg, off, size int) (*policy.FrameSlot, int) {
-	proc := r.G.Procs[node.Proc]
-	frames, ok := r.Ini.FrameSlots[proc.Name]
-	if !ok {
-		return nil, 0
-	}
-	key := "fp"
-	if base == r.conv.SP {
-		key = "sp"
-	}
-	offs := make([]int, 0, len(frames[key]))
-	for slotOff := range frames[key] {
+	slots := r.frameSlots(node, base)
+	offs := make([]int, 0, len(slots))
+	for slotOff := range slots {
 		offs = append(offs, slotOff)
 	}
 	sort.Ints(offs)
 	for _, slotOff := range offs {
-		slot := frames[key][slotOff]
+		slot := slots[slotOff]
 		extent := slot.Type.Size()
 		if slot.Count > 0 {
 			extent = slot.Type.Size() * slot.Count

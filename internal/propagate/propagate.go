@@ -11,6 +11,7 @@ package propagate
 
 import (
 	"fmt"
+	"sort"
 
 	"mcsafe/internal/cfg"
 	"mcsafe/internal/isa"
@@ -125,6 +126,36 @@ type Result struct {
 	Issues []Issue
 	// Steps counts worklist iterations (reported by benchmarks).
 	Steps int
+	// Frames holds each procedure's frame annotation, by procedure
+	// index (nil where it has none); see BindFrames.
+	Frames []*policy.Frame
+}
+
+// BindFrames resolves each frame annotation's label through the
+// program's symbols to the procedure whose entry it marks, and returns
+// the annotations by procedure index. A procedure is named by the least
+// of its entry's labels, but a frame may name any of them. A label that
+// marks no procedure entry, or a second frame on one entry, is an error,
+// as an unknown call target is to cfg; the annotations bound before it
+// are returned with it.
+func BindFrames(g *cfg.Graph, spec *policy.Spec) ([]*policy.Frame, error) {
+	out := make([]*policy.Frame, len(g.Procs))
+	labels := make([]string, 0, len(spec.Frames))
+	for label := range spec.Frames {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	for _, label := range labels {
+		p, ok := g.ProcAtLabel(label)
+		if !ok {
+			return out, fmt.Errorf("propagate: frame %q names no procedure entry", label)
+		}
+		if prev := out[p.Index]; prev != nil {
+			return out, fmt.Errorf("propagate: frames %q and %q annotate one procedure entry", prev.Proc, label)
+		}
+		out[p.Index] = spec.Frames[label]
+	}
+	return out, nil
 }
 
 // DebugNode, when >= 0, traces meets at one node (tests only).
@@ -164,6 +195,12 @@ func Run(g *cfg.Graph, ini *policy.Initial) *Result {
 			issueSeen[key] = true
 			r.Issues = append(r.Issues, Issue{Node: node, Code: code, Msg: msg})
 		}
+	}
+	var err error
+	if r.Frames, err = BindFrames(g, ini.Spec); err != nil {
+		// The checker rejects such a spec before this phase; any other
+		// caller gets a violation, never a procedure checked unbound.
+		report(g.Entry, "stack", "%v", err)
 	}
 
 	inWork := make([]bool, len(g.Nodes))

@@ -61,9 +61,12 @@ type Stats struct {
 // verdicts: the strategy tried, the formula it posed, the WLP the
 // back-substitution produced for it, and whether the prover succeeded.
 type Attempt struct {
-	// Kind is "group" (the bounds-group conjunction), "bare" (the
-	// predicate alone), or "with-facts" (assuming the typestate
-	// assertions).
+	// Kind is "group" (the bounds-group conjunction), "facts" (Facts → F
+	// as one validity query at the node, without back-substitution),
+	// "with-facts" (assuming the typestate assertions), or "bare" (the
+	// predicate alone). A condition whose facts mention a variable of
+	// its predicate tries facts, with-facts, then bare; any other tries
+	// bare, then with-facts when it has facts.
 	Kind    string `json:"kind"`
 	Formula string `json:"formula,omitempty"`
 	// WLP is the weakest-precondition formula the attempt reduced to —
@@ -253,14 +256,19 @@ func (e *Engine) proveCond(c *annotate.GlobalCond, groupProved bool) CondResult 
 		r.Resource = true
 		r.Detail = "not attempted: " + reason
 	} else {
-		// Bare predicate first: fact-free formulas keep the
-		// invariant chains clean; fall back to assuming the
-		// typestate assertions.
-		r.Proved = attempt("bare", c.F)
-		if !r.Proved {
-			if _, noFacts := c.Facts.(expr.TrueF); !noFacts {
-				r.Proved = attempt("with-facts", expr.Implies(c.Facts, c.F))
-			}
+		withFacts := func() bool { return attempt("with-facts", expr.Implies(c.Facts, c.F)) }
+		if _, noFacts := c.Facts.(expr.TrueF); noFacts {
+			r.Proved = attempt("bare", c.F)
+		} else if factsMention(c) {
+			// The facts describe the checked pointer itself (null,
+			// alignment and alias checks): they usually imply F outright,
+			// and a bare search on such a condition seldom decides it.
+			r.Proved = e.factsAttempt(c, &r) || withFacts() || attempt("bare", c.F)
+		} else {
+			// Facts about other values (bounds checks on an index): the
+			// bare predicate first, since fact-free formulas keep the
+			// invariant chains clean; fall back to assuming the facts.
+			r.Proved = attempt("bare", c.F) || withFacts()
 		}
 		if !r.Proved {
 			if reason := e.P.ResourceStop(); reason != "" {
@@ -279,6 +287,29 @@ func (e *Engine) proveCond(c *annotate.GlobalCond, groupProved bool) CondResult 
 	}
 	e.Obs.End("code", c.Code, "proved", fmt.Sprint(r.Proved))
 	return r
+}
+
+// factsMention reports whether c's facts mention a free variable of its
+// predicate.
+func factsMention(c *annotate.GlobalCond) bool {
+	for _, v := range expr.FreeVarsOf(c.F) {
+		if expr.Occurs(c.Facts, v) {
+			return true
+		}
+	}
+	return false
+}
+
+// factsAttempt tests Facts → F as one validity query, with no
+// back-substitution, and records it as the "facts" attempt. It is sound
+// wherever the with-facts attempt is: that attempt proves that Facts → F
+// holds at the condition's point, which a valid Facts → F does at every
+// point, so a pass here claims nothing the with-facts attempt would not.
+func (e *Engine) factsAttempt(c *annotate.GlobalCond, r *CondResult) bool {
+	f := expr.Simplify(expr.Implies(c.Facts, c.F))
+	ok := !e.stopped() && e.P.Valid(f)
+	r.Attempts = append(r.Attempts, Attempt{Kind: "facts", Formula: e.P.Intern.StringOf(f), Proved: ok})
+	return ok
 }
 
 // stopped reports whether the prover has tripped (resource exhaustion
@@ -305,11 +336,7 @@ func (e *Engine) provedCached(node int, after bool, f expr.Formula) bool {
 	if e.stopped() {
 		return false
 	}
-	// The proof point (node, after) is the key's salt: mixed into the
-	// fingerprint for distribution, and stored alongside the formula so
-	// a hit is verified against both.
-	salt := uint64(node)<<1 | boolBit(after)
-	key := expr.Fingerprint(f).Mixed(salt)
+	key, salt := queryKey(node, after, f)
 	if v, ok := e.cache.Get(key, salt, f); ok {
 		e.Stats.CacheHits++
 		return v
@@ -320,6 +347,15 @@ func (e *Engine) provedCached(node int, after bool, f expr.Formula) bool {
 		e.cache.Put(key, salt, f, v)
 	}
 	return v
+}
+
+// queryKey returns the query cache's key for f at a proof point. The
+// point (node, after) is the key's salt: mixed into the fingerprint for
+// distribution, and stored alongside the formula so a hit is verified
+// against both.
+func queryKey(node int, after bool, f expr.Formula) (expr.FP, uint64) {
+	salt := uint64(node)<<1 | boolBit(after)
+	return expr.Fingerprint(f).Mixed(salt), salt
 }
 
 func boolBit(b bool) uint64 {
@@ -486,12 +522,51 @@ func (e *Engine) proveAtProcEntry(proc *cfg.Proc, g expr.Formula) bool {
 		// Never called: vacuously true.
 		return true
 	}
+	// With several call sites, a requirement that fails on the first
+	// execution of one call is refuted there without synthesizing an
+	// invariant: test that at every site before proving any.
+	if len(sites) > 1 {
+		for _, site := range sites {
+			if e.entryRefutes(site, g) {
+				return false
+			}
+		}
+	}
 	for _, site := range sites {
 		if !e.provedCached(site.DelayNode, true, g) {
 			return false
 		}
 	}
 	return true
+}
+
+// entryRefutes reports whether g, required just after a call site's
+// delay node, already fails on the loop iteration that first reaches the
+// call: carried back to the header of the loop around the site, it is
+// neither valid nor provable on entry to the loop. That is the first
+// test the site's invariant synthesis makes (induction.Synthesize's
+// Inv.0 on W(0)), so a refutation here means provedCached(site, g) is
+// false. A site outside any loop is never refuted here.
+func (e *Engine) entryRefutes(site *cfg.CallSite, g expr.Formula) bool {
+	node := site.DelayNode
+	l := e.g.InnermostLoop(node)
+	if l == nil || e.stopped() {
+		return false
+	}
+	key, salt := queryKey(node, true, g)
+	if v, ok := e.cache.Get(key, salt, g); ok {
+		return !v
+	}
+	f := e.simplify(e.wlpInsn(node, g))
+	if _, isTrue := f.(expr.TrueF); isTrue {
+		return false
+	}
+	reg := region{proc: e.g.ProcOf(node), loop: l}
+	w0 := expr.Simplify(e.passRegion(reg, map[int]expr.Formula{node: f}, nil, nil, expr.T()))
+	if _, isTrue := w0.(expr.TrueF); isTrue || e.P.Valid(w0) {
+		return false
+	}
+	return !e.proveAtLoopEntry(l, w0)
 }
 
 func (e *Engine) sitesCalling(procIdx int) []*cfg.CallSite {

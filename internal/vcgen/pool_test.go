@@ -114,6 +114,17 @@ func TestScheduleChunksCheapestFirst(t *testing.T) {
 // prover for every condition, every bounds group proved up front, then
 // each condition in order.
 func (e *Engine) proveReference(conds []*annotate.GlobalCond) []CondResult {
+	return e.proveSequential(conds, e.proveCond)
+}
+
+// proveReferenceBareFirst is proveReference with the attempt order
+// proveCond used before the facts attempt existed, kept as a test
+// oracle for it.
+func (e *Engine) proveReferenceBareFirst(conds []*annotate.GlobalCond) []CondResult {
+	return e.proveSequential(conds, e.proveCondBareFirst)
+}
+
+func (e *Engine) proveSequential(conds []*annotate.GlobalCond, prove func(*annotate.GlobalCond, bool) CondResult) []CondResult {
 	groupProved := make([]bool, len(conds))
 	for _, g := range boundsGroups(conds) {
 		if e.proveGroup(conds, g) {
@@ -124,7 +135,42 @@ func (e *Engine) proveReference(conds []*annotate.GlobalCond) []CondResult {
 	}
 	out := make([]CondResult, len(conds))
 	for i, c := range conds {
-		out[i] = e.proveCond(c, groupProved[i])
+		out[i] = prove(c, groupProved[i])
 	}
 	return out
+}
+
+// proveCondBareFirst is proveCond with its former attempt order: the
+// bare predicate, then the with-facts implication, whatever the facts
+// mention.
+func (e *Engine) proveCondBareFirst(c *annotate.GlobalCond, groupProved bool) CondResult {
+	r := CondResult{Cond: c, Proved: groupProved}
+	e.beginCond()
+	attempt := func(kind string, f expr.Formula) bool {
+		ok := e.provedCached(c.Node, c.AfterNode, expr.Simplify(f))
+		r.Attempts = append(r.Attempts, Attempt{Kind: kind, Proved: ok})
+		return ok
+	}
+	if groupProved {
+		r.Attempts = append(r.Attempts, Attempt{Kind: "group", Proved: true})
+	} else if reason := e.P.ResourceStop(); reason != "" {
+		r.Resource = true
+		r.Detail = "not attempted: " + reason
+	} else {
+		r.Proved = attempt("bare", c.F)
+		if _, noFacts := c.Facts.(expr.TrueF); !r.Proved && !noFacts {
+			r.Proved = attempt("with-facts", expr.Implies(c.Facts, c.F))
+		}
+		if reason := e.P.ResourceStop(); !r.Proved && reason != "" {
+			r.Resource = true
+			r.Detail = "unproven: " + reason
+		}
+	}
+	e.Stats.Conditions++
+	if r.Proved {
+		e.Stats.Proved++
+	} else if r.Detail == "" {
+		r.Detail = "cannot establish " + e.P.Intern.StringOf(c.F)
+	}
+	return r
 }

@@ -167,6 +167,29 @@ func TestProveAllFig1(t *testing.T) {
 	}
 }
 
+// TestBoundsConditionRunsBareFirst: a bounds condition on an index
+// whose facts describe the base pointer (no variable in common) keeps
+// the bare attempt first.
+func TestBoundsConditionRunsBareFirst(t *testing.T) {
+	pl := build(t, fig1Asm, fig1Spec, "")
+	var upper *annotate.GlobalCond
+	for _, c := range pl.ann.Conds {
+		if c.Desc == "array upper bound" {
+			upper = c
+		}
+	}
+	if upper == nil {
+		t.Fatal("missing upper-bound condition")
+	}
+	if _, noFacts := upper.Facts.(expr.TrueF); noFacts || factsMention(upper) {
+		t.Fatalf("facts %v: want facts that share no variable with %v", upper.Facts, upper.F)
+	}
+	r := pl.e.Prove([]*annotate.GlobalCond{upper})[0]
+	if !r.Proved || len(r.Attempts) == 0 || r.Attempts[0].Kind != "bare" {
+		t.Errorf("proved %v, attempts %+v: want the bare attempt first", r.Proved, r.Attempts)
+	}
+}
+
 // TestWlpLinearSubstitutions exercises wlpInsn on representative
 // instructions.
 func TestWlpLinearSubstitutions(t *testing.T) {
@@ -334,5 +357,92 @@ func TestAblationOptionsRespected(t *testing.T) {
 	}
 	if failed == 0 {
 		t.Error("crippled induction should fail on the Figure 1 bound")
+	}
+}
+
+// twoSitesAsm calls f from two loops: f(i, n) counting i up from 0, and
+// f(0, i) counting i down from n.
+const twoSitesAsm = `
+main:
+	save %sp,-96,%sp
+	mov %i1,%g7
+	clr %g1
+up:
+	cmp %g1,%g7
+	bge down0
+	nop
+	mov %g1,%o1
+	call f
+	mov %g7,%o2
+	ba up
+	add %g1,1,%g1
+down0:
+	mov %g7,%g1
+down:
+	cmp %g1,%g0
+	ble done
+	nop
+	clr %o1
+	call f
+	mov %g1,%o2
+	ba down
+	sub %g1,1,%g1
+done:
+	ret
+	restore
+f:
+	retl
+	nop
+`
+
+// TestEntryRefutesOnlyFailingSites: a call site is refuted without
+// synthesis only where the full proof fails too, and proveAtProcEntry
+// still answers the conjunction of the full proofs over the sites.
+func TestEntryRefutesOnlyFailingSites(t *testing.T) {
+	pl := build(t, twoSitesAsm, fig1Spec, "main")
+	var callee *cfg.Proc
+	var sites []*cfg.CallSite
+	for _, s := range pl.g.Sites {
+		if s.Callee >= 0 {
+			callee = pl.g.Procs[s.Callee]
+			sites = append(sites, s)
+		}
+	}
+	if len(sites) != 2 {
+		t.Fatalf("%d internal call sites, want 2", len(sites))
+	}
+	// f's arguments, named as at its entry.
+	arg := func(name string) expr.LinExpr {
+		r, _ := pl.e.rm.Parse(name)
+		return expr.V(pl.e.rm.Var(r, pl.g.Nodes[callee.Entry].Depth))
+	}
+	reqs := []expr.Formula{
+		expr.GeExpr(arg("%o1"), expr.Constant(0)),                 // holds at both sites
+		expr.LeExpr(arg("%o1"), expr.Constant(0)),                 // holds on entry to the up loop, fails later
+		expr.GeExpr(arg("%o2"), expr.Constant(2)),                 // n >= 2 is not known on entry
+		expr.LeExpr(arg("%o2").Sub(arg("%o1")), expr.Constant(5)), // n - i <= 5 fails on entry to up
+	}
+	held, refuted := 0, 0
+	for _, g := range reqs {
+		all := true
+		for _, s := range sites {
+			full := New(pl.res, solver.New(), Options{}).provedCached(s.DelayNode, true, g)
+			all = all && full
+			if New(pl.res, solver.New(), Options{}).entryRefutes(s, g) {
+				refuted++
+				if full {
+					t.Errorf("site %d refuted %v on entry, but the full proof holds", s.ID, g)
+				}
+			}
+		}
+		if all {
+			held++
+		}
+		if got := New(pl.res, solver.New(), Options{}).proveAtProcEntry(callee, g); got != all {
+			t.Errorf("requirement %v at f's entry: %v, want %v", g, got, all)
+		}
+	}
+	if held == 0 || refuted == 0 {
+		t.Errorf("%d requirements held, %d sites refuted on entry: want some of each", held, refuted)
 	}
 }

@@ -360,8 +360,9 @@ func TestCheckContextCancelled(t *testing.T) {
 
 // TestExplainVerdictPath checks Result.Explain on a real violation: the
 // paging-policy null-deref must render its stable code, the failed
-// condition's predicate, the proof attempts, and — because the check was
-// observed — the condition's span timing.
+// condition's predicate, the proof attempts (its facts mention the
+// pointer, so the facts attempt leads and the bare one comes last), and
+// — because the check was observed — the condition's span timing.
 func TestExplainVerdictPath(t *testing.T) {
 	b := progs.Get("PagingPolicy")
 	spec, err := ParseSpec(b.Spec)
@@ -391,7 +392,8 @@ func TestExplainVerdictPath(t *testing.T) {
 		t.Fatalf("no %q violation: %+v", CodeNullPtr, res.Violations)
 	}
 	text := res.Explain(*v)
-	for _, want := range []string{"[nullptr]", "condition #", "predicate:", "attempt 1", "proof time:"} {
+	for _, want := range []string{"[nullptr]", "condition #", "predicate:", "attempt 1 (facts): FAILED",
+		"checked at the node", "attempt 3 (bare): FAILED", "proof time:"} {
 		if !bytes.Contains([]byte(text), []byte(want)) {
 			t.Errorf("Explain output missing %q:\n%s", want, text)
 		}
