@@ -137,9 +137,16 @@ func (p *Program) LabelAt(idx int) string {
 // Disassemble renders the program, one instruction per line, with
 // resolved branch targets shown as absolute indices.
 func (p *Program) Disassemble() string {
+	// The least label at each index, as LabelAt would give, in one pass.
+	labels := make([]string, len(p.Insns))
+	for name, at := range p.Symbols {
+		if at >= 0 && at < len(labels) && (labels[at] == "" || name < labels[at]) {
+			labels[at] = name
+		}
+	}
 	var b strings.Builder
 	for idx, insn := range p.Insns {
-		if lbl := p.LabelAt(idx); lbl != "" {
+		if lbl := labels[idx]; lbl != "" {
 			fmt.Fprintf(&b, "%s:\n", lbl)
 		}
 		text := insn.Text

@@ -41,7 +41,7 @@ func Prepare(spec *Spec) (*Initial, error) {
 	ini := &Initial{
 		Spec:       spec,
 		World:      typestate.NewWorld(),
-		Entry:      typestate.NewStore(),
+		Entry:      typestate.NewStore(typestate.NewLocs()),
 		AddrToLoc:  make(map[uint32]string),
 		LocTypes:   make(map[string]*types.Type),
 		FrameSlots: make(map[string]map[string]map[int]*FrameSlot),

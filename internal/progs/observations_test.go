@@ -6,6 +6,7 @@ package progs
 // would not be checking the same analysis.
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -20,18 +21,32 @@ import (
 // observation: "verifying an interprocedural version of an untrusted
 // program can take less time than verifying a manually inlined version
 // because the manually inlined version replicates the callee functions
-// and the global conditions in the callee functions."
+// and the global conditions in the callee functions." At Parallelism 1
+// the effort counters state it exactly (HeapSort: 956 solver queries
+// and 292 induction runs; HeapSort2: 540 and 121); the wall-clock check
+// takes the median of five alternating pairs, so that one slow sample
+// on a shared host does not decide it.
 func TestInterproceduralFasterThanInlined(t *testing.T) {
-	inlined, err := HeapSort().Check(core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	check := func(b *Benchmark) *core.Result {
+		t.Helper()
+		res, err := b.Check(core.Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Safe {
+			t.Fatalf("%s must verify", b.Name)
+		}
+		return res
 	}
-	interproc, err := HeapSort2().Check(core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !inlined.Safe || !interproc.Safe {
-		t.Fatal("both heap sorts must verify")
+	var inlined, interproc *core.Result
+	ratios := make([]float64, 5)
+	for i := range ratios {
+		if i%2 == 0 {
+			inlined, interproc = check(HeapSort()), check(HeapSort2())
+		} else {
+			interproc, inlined = check(HeapSort2()), check(HeapSort())
+		}
+		ratios[i] = float64(inlined.Times.Global) / float64(interproc.Times.Global)
 	}
 	// The inlined version has more global conditions (the replication
 	// the paper describes)...
@@ -39,11 +54,23 @@ func TestInterproceduralFasterThanInlined(t *testing.T) {
 		t.Errorf("inlined conditions (%d) should exceed interprocedural (%d)",
 			inlined.Stats.GlobalConds, interproc.Stats.GlobalConds)
 	}
-	// ... and takes longer to verify globally (generous 1.2x margin to
-	// keep the test robust on noisy machines; the observed ratio is ~2x).
-	if float64(inlined.Times.Global) < 1.2*float64(interproc.Times.Global) {
-		t.Errorf("inlined global verification (%v) should exceed interprocedural (%v)",
-			inlined.Times.Global, interproc.Times.Global)
+	// ... and takes more effort and longer to verify globally (a 1.2x
+	// margin; the observed ratios are 1.6x and more).
+	for _, c := range []struct {
+		what               string
+		inlined, interproc int
+	}{
+		{"solver queries", inlined.Stats.ProverQueries, interproc.Stats.ProverQueries},
+		{"induction runs", inlined.Stats.InductionRuns, interproc.Stats.InductionRuns},
+	} {
+		if float64(c.inlined) < 1.2*float64(c.interproc) {
+			t.Errorf("inlined %s (%d) should exceed 1.2x interprocedural (%d)", c.what, c.inlined, c.interproc)
+		}
+	}
+	sort.Float64s(ratios)
+	if ratios[2] < 1.2 {
+		t.Errorf("median inlined/interprocedural global verification time %.2f, want at least 1.2 (pairs %.2f)",
+			ratios[2], ratios)
 	}
 }
 

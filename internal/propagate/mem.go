@@ -73,7 +73,7 @@ func (r *Result) frameSlotCovering(node *cfg.Node, base rtl.Reg, off, size int) 
 // update distinction and overload resolution of the addressing mode.
 // The access shape — width, direction, addressing mode — comes from the
 // node's lifted memory effect.
-func (r *Result) transferMem(node *cfg.Node, in, s typestate.Store, report func(int, string, string, ...interface{})) typestate.Store {
+func (r *Result) transferMem(node *cfg.Node, in typestate.Store, report func(int, string, string, ...interface{})) typestate.Store {
 	d := node.Depth
 
 	// Pull the memory effect out of the RTL sequence.
@@ -85,8 +85,7 @@ func (r *Result) transferMem(node *cfg.Node, in, s typestate.Store, report func(
 		switch x := eff.(type) {
 		case rtl.Unsupported:
 			report(node.ID, x.Code, "%s", x.Msg)
-			r.setReg(x.Dst, d, &s, typestate.BottomTS)
-			return s
+			return r.withReg(in, x.Dst, d, typestate.BottomTS)
 		case rtl.Load:
 			addr, size, signed = x.Addr, x.Size, x.Signed
 			rd = x.Dst
@@ -151,11 +150,11 @@ func (r *Result) transferMem(node *cfg.Node, in, s typestate.Store, report func(
 				acc.Bound = types.ConstBound(int64(slot.Count))
 			}
 			addTarget(slot.Name)
-			return r.finishMem(node, in, s, acc, isStore, rd, size, signed, report)
+			return r.finishMem(node, in, acc, isStore, rd, size, signed, report)
 		}
 	}
 
-	a := r.regTS(base, d, s)
+	a := r.regTS(base, d, in)
 	acc.BaseVar = string(r.rm.Var(base, d))
 
 	switch {
@@ -185,7 +184,7 @@ func (r *Result) transferMem(node *cfg.Node, in, s typestate.Store, report func(
 		if !imm {
 			// A register-indexed access into a non-array object cannot
 			// be resolved to fields.
-			idx := r.regTS(idxReg, d, s)
+			idx := r.regTS(idxReg, d, in)
 			if !idx.Known {
 				report(node.ID, "policy", "register-indexed access into non-array object")
 				break
@@ -221,11 +220,11 @@ func (r *Result) transferMem(node *cfg.Node, in, s typestate.Store, report func(
 		report(node.ID, "policy", "memory access through non-pointer %s of type %v", r.rm.Name(base), a.Type)
 	}
 
-	return r.finishMem(node, in, s, acc, isStore, rd, size, signed, report)
+	return r.finishMem(node, in, acc, isStore, rd, size, signed, report)
 }
 
 // finishMem applies the load/store effect once the target set F is known.
-func (r *Result) finishMem(node *cfg.Node, in, s typestate.Store, acc *MemAccess, isStore bool, rd rtl.Reg, size int, signed bool, report func(int, string, string, ...interface{})) typestate.Store {
+func (r *Result) finishMem(node *cfg.Node, in typestate.Store, acc *MemAccess, isStore bool, rd rtl.Reg, size int, signed bool, report func(int, string, string, ...interface{})) typestate.Store {
 	d := node.Depth
 	if acc.MinAlign == 1<<30 {
 		acc.MinAlign = 1
@@ -233,20 +232,21 @@ func (r *Result) finishMem(node *cfg.Node, in, s typestate.Store, acc *MemAccess
 	if len(acc.Targets) == 0 {
 		report(node.ID, "policy", "memory access resolves to no abstract location")
 		if !isStore {
-			r.setReg(rd, d, &s, typestate.BottomTS)
+			return r.withReg(in, rd, d, typestate.BottomTS)
 		}
-		return s
+		return in
 	}
 
 	if isStore {
 		val := r.regTS(rd, d, in)
 		strong := len(acc.Targets) == 1 && !acc.Targets[0].Summary
+		s := in
 		for _, t := range acc.Targets {
-			if strong {
-				s.SetInPlace(t.Loc, val)
-			} else {
-				s.SetInPlace(t.Loc, val.Meet(s.Get(t.Loc)))
+			ts := val
+			if !strong {
+				ts = val.Meet(in.Get(t.Loc))
 			}
+			s = s.With(r.locs.Index(t.Loc), ts)
 		}
 		return s
 	}
@@ -254,7 +254,7 @@ func (r *Result) finishMem(node *cfg.Node, in, s typestate.Store, acc *MemAccess
 	// Load: the destination receives the meet over possible sources.
 	loaded := typestate.TopTS
 	for _, t := range acc.Targets {
-		loaded = loaded.Meet(s.Get(t.Loc))
+		loaded = loaded.Meet(in.Get(t.Loc))
 	}
 	// Sub-word loads refine the ground type (footnote 2's subtyping).
 	switch {
@@ -268,6 +268,5 @@ func (r *Result) finishMem(node *cfg.Node, in, s typestate.Store, acc *MemAccess
 		loaded.Type = types.Meet(loaded.Type, types.Int16Type)
 	}
 	loaded.Known = false
-	r.setReg(rd, d, &s, loaded)
-	return s
+	return r.withReg(in, rd, d, loaded)
 }

@@ -1,6 +1,7 @@
 package propagate
 
 import (
+	"sort"
 	"strings"
 
 	"mcsafe/internal/cfg"
@@ -12,7 +13,8 @@ import (
 // which keeps the context-insensitive interprocedural analysis from
 // smearing caller-local state across call sites.
 type modSet struct {
-	locs map[string]bool
+	// regs are the store slots of the registers it may write, ascending.
+	regs []int
 	// mem is true when the procedure (transitively) stores to memory or
 	// calls a trusted function: all non-register locations count as
 	// modified.
@@ -25,10 +27,10 @@ func isRegLoc(name string) bool {
 
 // computeModSets builds the per-procedure modification summaries,
 // processing callees before callers (the call graph is acyclic). The
-// written locations of each node are read off its RTL effects.
-func computeModSets(g *cfg.Graph) []*modSet {
+// written locations of each node are read off its RTL effects; regSlot
+// numbers a register at a window depth.
+func computeModSets(g *cfg.Graph, regSlot func(rtl.Reg, int) int) []*modSet {
 	sets := make([]*modSet, len(g.Procs))
-	rm := g.Prog.Arch.Regs()
 	conv := g.Prog.Arch.Conv()
 
 	// Reverse-topological order over the call graph.
@@ -59,14 +61,15 @@ func computeModSets(g *cfg.Graph) []*modSet {
 	}
 
 	for _, pi := range order {
-		ms := &modSet{locs: make(map[string]bool)}
+		ms := &modSet{}
 		sets[pi] = ms
+		regs := map[int]bool{}
 		for _, id := range g.Procs[pi].Nodes {
 			node := g.Nodes[id]
 			d := node.Depth
 			addReg := func(r rtl.Reg, depth int) {
 				if r != rtl.ZeroReg {
-					ms.locs[rm.Loc(r, depth)] = true
+					regs[regSlot(r, depth)] = true
 				}
 			}
 			for _, eff := range node.RTL {
@@ -107,8 +110,8 @@ func computeModSets(g *cfg.Graph) []*modSet {
 					if site.Callee >= 0 {
 						callee := sets[site.Callee]
 						if callee != nil {
-							for l := range callee.locs {
-								ms.locs[l] = true
+							for _, i := range callee.regs {
+								regs[i] = true
 							}
 							ms.mem = ms.mem || callee.mem
 						}
@@ -123,6 +126,10 @@ func computeModSets(g *cfg.Graph) []*modSet {
 				}
 			}
 		}
+		for i := range regs {
+			ms.regs = append(ms.regs, i)
+		}
+		sort.Ints(ms.regs)
 	}
 	return sets
 }

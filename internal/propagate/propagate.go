@@ -116,6 +116,10 @@ type Result struct {
 	rm   *isa.RegModel
 	conv *isa.Convention
 	mods []*modSet
+	// locs is the run's location table, and regSlots[d][reg] the slot
+	// of register reg at window depth d.
+	locs     *typestate.Locs
+	regSlots [][]int
 	// In and Out are the abstract stores before/after each node.
 	In, Out []typestate.Store
 	// Kind is the resolved usage kind of each node.
@@ -158,10 +162,10 @@ func BindFrames(g *cfg.Graph, spec *policy.Spec) ([]*policy.Frame, error) {
 	return out, nil
 }
 
-// DebugNode, when >= 0, traces meets at one node (tests only).
-var DebugNode = -1
-
-// Run performs typestate propagation to a fixed point.
+// Run performs typestate propagation to a fixed point. Its stores
+// index one location table, built here: the policy World's locations,
+// then every register at every window depth the graph reaches. A store
+// in In or Out is never written again: transfer writes into a copy.
 func Run(g *cfg.Graph, ini *policy.Initial) *Result {
 	r := &Result{
 		G:    g,
@@ -172,12 +176,28 @@ func Run(g *cfg.Graph, ini *policy.Initial) *Result {
 		Out:  make([]typestate.Store, len(g.Nodes)),
 		Kind: make([]UsageKind, len(g.Nodes)),
 		Mem:  make([]*MemAccess, len(g.Nodes)),
+		locs: typestate.NewLocs(ini.World.Names()...),
 	}
 	for i := range r.In {
 		r.In[i] = typestate.TopStore()
 		r.Out[i] = typestate.TopStore()
 	}
-	r.mods = computeModSets(g)
+	depths := 1
+	for _, node := range g.Nodes {
+		depths = max(depths, node.Depth+1)
+	}
+	r.regSlots = make([][]int, depths)
+	for d := range r.regSlots {
+		r.regSlots[d] = make([]int, r.rm.N())
+		for reg := range r.regSlots[d] {
+			r.regSlots[d][reg] = r.locs.Index(r.rm.Loc(rtl.Reg(reg), d))
+		}
+	}
+	entry := typestate.NewStore(r.locs)
+	for _, k := range ini.Entry.Keys() {
+		entry.SetInPlace(k, ini.Entry.Get(k))
+	}
+	r.mods = computeModSets(g, r.regSlot)
 	// Return points must be revisited when their call site's pre-state
 	// changes (the return-edge transfer reads the delay node's out).
 	returnsOfDelay := map[int][]int{}
@@ -220,18 +240,12 @@ func Run(g *cfg.Graph, ini *policy.Initial) *Result {
 		r.Steps++
 
 		node := g.Nodes[id]
-		if DebugNode == id {
-			fmt.Printf("[dbg] processing node %d (insn %d)\n", id, node.Index)
-			for _, e := range node.Preds {
-				fmt.Printf("[dbg]   pred %d kind=%v topOut=%v g1=%v\n", e.To, e.Kind, r.Out[e.To].Top, r.Out[e.To].Get("%g1"))
-			}
-		}
 
 		// In = meet over predecessors' edge-transferred outs; the entry
 		// node additionally meets the initial annotations.
 		in := typestate.TopStore()
 		if id == g.Entry {
-			in = ini.Entry.Clone()
+			in = entry
 		}
 		for _, e := range node.Preds {
 			pred := e.To
@@ -276,18 +290,13 @@ func (r *Result) edgeTransfer(e cfg.Edge, pred, succ int, out typestate.Store) t
 		}
 		ms := r.mods[site.Callee]
 		merged := callerOut.Clone()
-		for l := range ms.locs {
-			merged.SetInPlace(l, out.Get(l))
+		for _, i := range ms.regs {
+			merged.SetAt(i, out.At(i))
 		}
 		if ms.mem {
-			for _, k := range out.Keys() {
-				if !isRegLoc(k) {
-					merged.SetInPlace(k, out.Get(k))
-				}
-			}
-			for _, k := range callerOut.Keys() {
-				if !isRegLoc(k) {
-					merged.SetInPlace(k, out.Get(k))
+			for i := range r.locs.Len() {
+				if (out.Has(i) || callerOut.Has(i)) && !isRegLoc(r.locs.Name(i)) {
+					merged.SetAt(i, out.At(i))
 				}
 			}
 		}
@@ -305,10 +314,10 @@ func (r *Result) edgeTransfer(e cfg.Edge, pred, succ int, out typestate.Store) t
 	s := out.Clone()
 	// Caller-saved registers are clobbered by the callee.
 	for _, reg := range r.conv.CallClobbered {
-		s.SetInPlace(r.rm.Loc(reg, depth), typestate.BottomTS)
+		s.SetAt(r.regSlot(reg, depth), typestate.BottomTS)
 	}
 	if tf != nil && tf.Ret != nil {
-		s.SetInPlace(r.rm.Loc(r.conv.RetReg, depth), *tf.Ret)
+		s.SetAt(r.regSlot(r.conv.RetReg, depth), *tf.Ret)
 	}
 	return s
 }
@@ -380,28 +389,44 @@ func isZeroReg(e rtl.Expr) bool {
 	return ok && x.R == rtl.ZeroReg
 }
 
+// regSlot returns the store slot of register reg at window depth.
+func (r *Result) regSlot(reg rtl.Reg, depth int) int {
+	if depth >= 0 && depth < len(r.regSlots) {
+		return r.regSlots[depth][reg]
+	}
+	return r.locs.Index(r.rm.Loc(reg, depth))
+}
+
 func (r *Result) regTS(reg rtl.Reg, depth int, s typestate.Store) typestate.Typestate {
 	if reg == rtl.ZeroReg {
 		return constTS(0)
 	}
-	return s.Get(r.rm.Loc(reg, depth))
+	return s.At(r.regSlot(reg, depth))
 }
 
 func (r *Result) setReg(reg rtl.Reg, depth int, s *typestate.Store, ts typestate.Typestate) {
 	if reg == rtl.ZeroReg {
 		return
 	}
-	s.SetInPlace(r.rm.Loc(reg, depth), ts)
+	s.SetAt(r.regSlot(reg, depth), ts)
+}
+
+// withReg returns in with register reg at depth set to ts (see With).
+func (r *Result) withReg(in typestate.Store, reg rtl.Reg, depth int, ts typestate.Typestate) typestate.Store {
+	if reg == rtl.ZeroReg {
+		return in
+	}
+	return in.With(r.regSlot(reg, depth), ts)
 }
 
 // transfer is the abstract operational semantics R: M -> M of Section
 // 4.2, driven by the instruction's lifted RTL effects: control and
 // window effects classify the occurrence, memory effects resolve
 // through transferMem, and plain assignments go through the overload
-// resolution of Table 1.
+// resolution of Table 1. A node that changes no location returns in
+// itself; one that does writes into a copy of it.
 func (r *Result) transfer(node *cfg.Node, in typestate.Store, report func(int, string, string, ...interface{})) typestate.Store {
 	d := node.Depth
-	s := in.Clone()
 
 	// Shape of the effect sequence.
 	var assign *rtl.Assign
@@ -428,7 +453,7 @@ func (r *Result) transfer(node *cfg.Node, in typestate.Store, report func(int, s
 	switch ctl.(type) {
 	case rtl.Branch:
 		r.Kind[node.ID] = KindBranch
-		return s
+		return in
 	case rtl.Call, rtl.Jump:
 		if _, isCall := ctl.(rtl.Call); isCall {
 			r.Kind[node.ID] = KindCall
@@ -439,12 +464,12 @@ func (r *Result) transfer(node *cfg.Node, in typestate.Store, report func(int, s
 		// address the policy treats as an operable 32-bit value.
 		if assign != nil {
 			if _, isPC := assign.Src.(rtl.PC); isPC {
-				r.setReg(assign.Dst, d, &s, typestate.Typestate{
+				return r.withReg(in, assign.Dst, d, typestate.Typestate{
 					Type: types.UInt32Type, State: typestate.InitState, Access: typestate.PermO,
 				})
 			}
 		}
-		return s
+		return in
 	}
 
 	switch win.(type) {
@@ -455,8 +480,9 @@ func (r *Result) transfer(node *cfg.Node, in typestate.Store, report func(int, s
 		win := r.conv.Window
 		var newSP typestate.Typestate
 		if bin, ok := assign.Src.(rtl.Bin); ok {
-			newSP = scalarOp(r.exprTS(bin.A, d, s), r.exprTS(bin.B, d, s), bin.Op, true)
+			newSP = scalarOp(r.exprTS(bin.A, d, in), r.exprTS(bin.B, d, in), bin.Op, true)
 		}
+		s := in.Clone()
 		for k := rtl.Reg(0); k < rtl.Reg(win.Size); k++ {
 			r.setReg(win.In+k, d+1, &s, r.regTS(win.Out+k, d, in))
 		}
@@ -473,17 +499,16 @@ func (r *Result) transfer(node *cfg.Node, in typestate.Store, report func(int, s
 		r.Kind[node.ID] = KindRestore
 		var val typestate.Typestate
 		if bin, ok := assign.Src.(rtl.Bin); ok {
-			val = scalarOp(r.exprTS(bin.A, d, s), r.exprTS(bin.B, d, s), bin.Op, true)
+			val = scalarOp(r.exprTS(bin.A, d, in), r.exprTS(bin.B, d, in), bin.Op, true)
 		}
-		r.setReg(assign.Dst, d-1, &s, val)
-		return s
+		return r.withReg(in, assign.Dst, d-1, val)
 	}
 
 	if hasMem {
-		return r.transferMem(node, in, s, report)
+		return r.transferMem(node, in, report)
 	}
 	if assign == nil {
-		return s
+		return in
 	}
 
 	// Constant materialization (sethi): a copy, unless it is the
@@ -491,25 +516,23 @@ func (r *Result) transfer(node *cfg.Node, in typestate.Store, report func(int, s
 	if c, ok := assign.Src.(rtl.Const); ok {
 		if assign.Dst == rtl.ZeroReg && c.V == 0 {
 			r.Kind[node.ID] = KindNop
-			return s
+			return in
 		}
 		r.Kind[node.ID] = KindCopy
-		r.setReg(assign.Dst, d, &s, r.resolveAddr(constTS(c.V)))
-		return s
+		return r.withReg(in, assign.Dst, d, r.resolveAddr(constTS(c.V)))
 	}
 
 	// Arithmetic and logical operations.
 	bin, ok := assign.Src.(rtl.Bin)
 	if !ok {
 		r.Kind[node.ID] = KindScalarOp
-		r.setReg(assign.Dst, d, &s, typestate.BottomTS)
-		return s
+		return r.withReg(in, assign.Dst, d, typestate.BottomTS)
 	}
-	a := r.exprTS(bin.A, d, s)
-	b := r.exprTS(bin.B, d, s)
+	a := r.exprTS(bin.A, d, in)
+	b := r.exprTS(bin.B, d, in)
 	if hasCC && assign.Dst == rtl.ZeroReg {
 		r.Kind[node.ID] = KindCompare
-		return s
+		return in
 	}
 
 	_, immB := bin.B.(rtl.Const)
@@ -584,8 +607,7 @@ func (r *Result) transfer(node *cfg.Node, in typestate.Store, report func(int, s
 		r.Kind[node.ID] = KindScalarOp
 		out = scalarOp(a, b, bin.Op, false)
 	}
-	r.setReg(assign.Dst, d, &s, out)
-	return s
+	return r.withReg(in, assign.Dst, d, out)
 }
 
 // frameBase returns the frame or stack pointer when the expression reads

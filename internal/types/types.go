@@ -292,16 +292,20 @@ func (t *Type) Equal(o *Type) bool {
 // signedness, and an unsigned type is a subtype of any strictly wider
 // signed type (its values embed losslessly).
 func groundMeet(a, b GroundKind) (*Type, bool) {
-	if a == b {
-		return ground(a, groundSize(a)), true
-	}
 	if groundLE(a, b) {
-		return ground(a, groundSize(a)), true
+		return groundTypes[a], true
 	}
 	if groundLE(b, a) {
-		return ground(b, groundSize(b)), true
+		return groundTypes[b], true
 	}
 	return nil, false
+}
+
+// groundTypes are the common scalars by kind: a meet of ground types
+// returns one of them rather than allocating.
+var groundTypes = [...]*Type{
+	Int8: Int8Type, UInt8: UInt8Type, Int16: Int16Type,
+	UInt16: UInt16Type, Int32: Int32Type, UInt32: UInt32Type,
 }
 
 func groundSize(g GroundKind) int {

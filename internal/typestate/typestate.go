@@ -81,7 +81,7 @@ func (p Perm) String() string {
 }
 
 // StateKind discriminates the variants of the state lattice of Figure 5.
-type StateKind int
+type StateKind uint8
 
 const (
 	// StateTop: no information yet (above everything).
@@ -112,11 +112,13 @@ func (r Ref) String() string {
 	return fmt.Sprintf("%s+%d", r.Loc, r.Off)
 }
 
-// State is an element of the state lattice of Figure 5.
+// State is an element of the state lattice of Figure 5. Kind and
+// MayNull follow Set so that they share one word: on 64-bit platforms
+// a Typestate, one store slot, takes 56 bytes.
 type State struct {
-	Kind    StateKind
 	Set     []Ref // for StatePointsTo, sorted, deduped
-	MayNull bool  // for StatePointsTo
+	Kind    StateKind
+	MayNull bool // for StatePointsTo
 }
 
 // Canonical states.
@@ -360,112 +362,195 @@ func (w *World) Lookup(name string) (*AbsLoc, bool) {
 // Names returns all abstract-location names in registration order.
 func (w *World) Names() []string { return w.order }
 
+// Locs is a location table: it numbers abstract-location names, and a
+// Store over the table keeps the typestate of location i in its slot i.
+// A table only grows. A name first seen after a store was made gets a
+// slot past that store's end, which the store reads as absent. Index
+// appends, so a table belongs to one analysis run: nothing may call
+// Index while another goroutine uses the table.
+type Locs struct {
+	names []string
+	index map[string]int
+}
+
+// NewLocs returns a table numbering the given names in order.
+func NewLocs(names ...string) *Locs {
+	l := &Locs{index: make(map[string]int, len(names))}
+	for _, n := range names {
+		l.Index(n)
+	}
+	return l
+}
+
+// Index returns the slot of the named location, appending the name to
+// the table when it holds no slot for it yet.
+func (l *Locs) Index(name string) int {
+	if i, ok := l.index[name]; ok {
+		return i
+	}
+	l.index[name] = len(l.names)
+	l.names = append(l.names, name)
+	return len(l.names) - 1
+}
+
+// Len reports the number of slots the table numbers.
+func (l *Locs) Len() int { return len(l.names) }
+
+// Name returns the name of slot i.
+func (l *Locs) Name(i int) string { return l.names[i] }
+
 // Store is an abstract store: a total map absLoc -> typestate
-// (Section 4.2). A nil-map Store with Top == true represents the store
-// that maps every location to the top typestate, which is the initial
-// dataflow value at every program point except the entry.
+// (Section 4.2), held as a dense slice of slots indexed by a location
+// table. A slot holds a written typestate or is absent; an absent slot,
+// like a slot past the slice's end, reads as the bottom typestate
+// <⊥t, ⊥s, ∅> and is not counted by Len or Keys. The zero Typestate
+// (nil type) marks an absent slot: every typestate the analysis writes
+// has a type. A Store with Top == true, which has no slots, maps every
+// location to the top typestate: the initial dataflow value at every
+// program point except the entry.
+//
+// Stores share slices: Meet with ⊤ returns the other store itself, and
+// With of an equal typestate returns the store it was called on. Only a
+// store's owner may write it, through SetAt or SetInPlace, and only
+// before it shares the store; a shared store must be cloned first.
 type Store struct {
-	Top bool
-	m   map[string]Typestate
+	Top   bool
+	locs  *Locs
+	slots []Typestate
 }
 
 // TopStore returns the store that is ⊤ everywhere.
 func TopStore() Store { return Store{Top: true} }
 
+// NewStore returns an empty (non-top) store over the table l; every
+// location reads as the bottom typestate.
+func NewStore(l *Locs) Store { return Store{locs: l} }
+
 // Len reports the number of explicitly-tracked typestate facts — the
 // fact-size measure the observability layer aggregates per program
 // point. The top store tracks none.
-func (s Store) Len() int { return len(s.m) }
+func (s Store) Len() int {
+	n := 0
+	for i := range s.slots {
+		if s.Has(i) {
+			n++
+		}
+	}
+	return n
+}
 
-// NewStore returns an empty (non-top) store; unmapped locations read as
-// the bottom typestate <⊥t, ⊥s, ∅>.
-func NewStore() Store { return Store{m: make(map[string]Typestate)} }
+// Has reports whether slot i holds a written typestate.
+func (s Store) Has(i int) bool { return i < len(s.slots) && s.slots[i].Type != nil }
+
+// At returns the typestate in slot i.
+func (s Store) At(i int) Typestate {
+	switch {
+	case s.Top:
+		return TopTS
+	case s.Has(i):
+		return s.slots[i]
+	}
+	return BottomTS
+}
 
 // Get returns the typestate of the named location.
 func (s Store) Get(name string) Typestate {
 	if s.Top {
 		return TopTS
 	}
-	if ts, ok := s.m[name]; ok {
-		return ts
+	i, ok := s.locs.index[name]
+	if !ok {
+		return BottomTS
 	}
-	return BottomTS
+	return s.At(i)
 }
 
-// Set returns a copy of the store with the named location updated.
-// Setting a location on the top store materializes a concrete store.
-func (s Store) Set(name string, ts Typestate) Store {
-	n := s.Clone()
-	if n.Top {
-		n = NewStore()
+// SetAt writes slot i of a non-top store the caller owns. A slot past
+// the slice's end grows it to the table's length, by append, so a store
+// written one new name at a time grows in amortized constant time.
+func (s *Store) SetAt(i int, ts Typestate) {
+	if i >= len(s.slots) {
+		s.slots = append(s.slots, make([]Typestate, max(i+1, s.locs.Len())-len(s.slots))...)
 	}
-	n.m[name] = ts
+	s.slots[i] = ts
+}
+
+// SetInPlace writes the named location of a non-top store the caller
+// owns, appending the name to the store's table if it is new.
+func (s *Store) SetInPlace(name string, ts Typestate) {
+	s.SetAt(s.locs.Index(name), ts)
+}
+
+// With returns the store with slot i set to ts: s itself when slot i
+// already holds a typestate equal to ts, otherwise a copy the caller
+// owns.
+func (s Store) With(i int, ts Typestate) Store {
+	if s.Has(i) && s.slots[i].Equal(ts) {
+		return s
+	}
+	n := s.Clone()
+	n.SetAt(i, ts)
 	return n
 }
 
-// SetInPlace mutates the store; the store must not be shared.
-func (s *Store) SetInPlace(name string, ts Typestate) {
-	if s.Top {
-		*s = NewStore()
-	}
-	s.m[name] = ts
-}
-
-// Clone returns a deep copy of the store.
+// Clone returns a copy of the store that the caller owns: one slice
+// as long as the table, so writes to slots the table holds do not grow
+// it.
 func (s Store) Clone() Store {
 	if s.Top {
-		return Store{Top: true}
+		return TopStore()
 	}
-	n := Store{m: make(map[string]Typestate, len(s.m))}
-	for k, v := range s.m {
-		n.m[k] = v
-	}
+	n := Store{locs: s.locs, slots: make([]Typestate, max(len(s.slots), s.locs.Len()))}
+	copy(n.slots, s.slots)
 	return n
 }
 
-// Meet computes the pointwise meet of two stores; ⊤ is the identity.
+// Meet computes the pointwise meet of two stores over one table; ⊤ is
+// the identity, and a meet with ⊤ returns the other store itself. A
+// location written in either store is written in the meet, and an
+// absent side meets as ⊥. A typestate meets an equal one as itself.
 func (s Store) Meet(o Store) Store {
 	if s.Top {
-		return o.Clone()
+		return o
 	}
 	if o.Top {
-		return s.Clone()
+		return s
 	}
-	n := NewStore()
-	for k, v := range s.m {
-		n.m[k] = v.Meet(o.Get(k))
-	}
-	for k, v := range o.m {
-		if _, ok := s.m[k]; !ok {
-			n.m[k] = v.Meet(BottomTS)
+	n := Store{locs: s.locs, slots: make([]Typestate, max(len(s.slots), len(o.slots)))}
+	for i := range n.slots {
+		switch {
+		case s.Has(i) && o.Has(i) && s.slots[i].Equal(o.slots[i]):
+			n.slots[i] = s.slots[i]
+		case s.Has(i):
+			n.slots[i] = s.slots[i].Meet(o.At(i))
+		case o.Has(i):
+			n.slots[i] = o.slots[i].Meet(BottomTS)
 		}
 	}
 	return n
 }
 
-// Equal reports whether two stores are pointwise equal.
+// Equal reports whether two stores are pointwise equal; an absent slot
+// equals a written ⊥.
 func (s Store) Equal(o Store) bool {
 	if s.Top || o.Top {
 		return s.Top == o.Top
 	}
-	for k, v := range s.m {
-		if !v.Equal(o.Get(k)) {
-			return false
-		}
-	}
-	for k, v := range o.m {
-		if !v.Equal(s.Get(k)) {
+	for i := range max(len(s.slots), len(o.slots)) {
+		if (s.Has(i) || o.Has(i)) && !s.At(i).Equal(o.At(i)) {
 			return false
 		}
 	}
 	return true
 }
 
-// Keys returns the mapped location names in sorted order.
+// Keys returns the written location names in sorted order.
 func (s Store) Keys() []string {
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
+	var keys []string
+	for i := range s.slots {
+		if s.Has(i) {
+			keys = append(keys, s.locs.names[i])
+		}
 	}
 	sort.Strings(keys)
 	return keys
@@ -480,7 +565,7 @@ func (s Store) String() string {
 		if i > 0 {
 			b.WriteString("; ")
 		}
-		fmt.Fprintf(&b, "%s:%s", k, s.m[k])
+		fmt.Fprintf(&b, "%s:%s", k, s.Get(k))
 	}
 	return b.String()
 }

@@ -2,6 +2,7 @@ package typestate
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,12 +170,13 @@ func TestStoreBasics(t *testing.T) {
 	if !s.Get("x").IsTop() {
 		t.Error("top store should map everything to top")
 	}
-	s2 := s.Set("x", Typestate{Type: types.Int32Type, State: InitState, Access: PermO})
+	s2 := NewStore(NewLocs())
+	s2.SetInPlace("x", Typestate{Type: types.Int32Type, State: InitState, Access: PermO})
 	if s2.Top {
-		t.Error("Set on top store should materialize")
+		t.Error("a new store is not top")
 	}
 	if s2.Get("y").Equal(TopTS) {
-		t.Error("materialized store should read bottom for unmapped")
+		t.Error("a new store should read bottom for unmapped")
 	}
 	if !s2.Get("y").Equal(BottomTS) {
 		t.Errorf("unmapped = %v", s2.Get("y"))
@@ -191,9 +193,10 @@ func TestStoreMeet(t *testing.T) {
 	init := Typestate{Type: types.Int32Type, State: InitState, Access: PermO}
 	uninit := Typestate{Type: types.Int32Type, State: UninitState, Access: PermO}
 
-	a := NewStore()
+	l := NewLocs()
+	a := NewStore(l)
 	a.SetInPlace("x", init)
-	b := NewStore()
+	b := NewStore(l)
 	b.SetInPlace("x", uninit)
 
 	m := a.Meet(b)
@@ -207,7 +210,7 @@ func TestStoreMeet(t *testing.T) {
 	}
 
 	// Locations present in only one store meet with bottom.
-	c := NewStore()
+	c := NewStore(l)
 	c.SetInPlace("y", init)
 	m2 := a.Meet(c)
 	if m2.Get("y").State.Kind != StateBottom {
@@ -217,9 +220,10 @@ func TestStoreMeet(t *testing.T) {
 
 func TestStoreEqual(t *testing.T) {
 	init := Typestate{Type: types.Int32Type, State: InitState, Access: PermO}
-	a := NewStore()
+	l := NewLocs()
+	a := NewStore(l)
 	a.SetInPlace("x", init)
-	b := NewStore()
+	b := NewStore(l)
 	b.SetInPlace("x", init)
 	if !a.Equal(b) {
 		t.Error("equal stores not Equal")
@@ -234,5 +238,81 @@ func TestStoreEqual(t *testing.T) {
 	}
 	if a.Equal(TopStore()) || !TopStore().Equal(TopStore()) {
 		t.Error("top store equality wrong")
+	}
+}
+
+// TestStoreAbsentIsBottom: an absent slot, whether unwritten or past a
+// store's end because the table grew after the store was made, reads as
+// ⊥ under Get and At, meets as ⊥, and equals a written ⊥.
+func TestStoreAbsentIsBottom(t *testing.T) {
+	init := Typestate{Type: types.Int32Type, State: InitState, Access: PermO}
+	l := NewLocs("a", "b")
+	short := NewStore(l)
+	short.SetInPlace("a", init)
+	long := short.Clone()
+	long.SetInPlace("late", init) // appended to the table, past short's end
+	for _, name := range []string{"b", "late", "unknown"} {
+		if got := short.Get(name); !got.Equal(BottomTS) {
+			t.Errorf("absent %s reads %v, want ⊥", name, got)
+		}
+	}
+	if got := short.At(l.Index("late")); !got.Equal(BottomTS) {
+		t.Errorf("slot past the end reads %v, want ⊥", got)
+	}
+	for _, m := range []Store{short.Meet(long), long.Meet(short)} {
+		if got, want := m.Get("late"), init.Meet(BottomTS); !got.Equal(want) {
+			t.Errorf("absent ⊓ init = %v, want %v", got, want)
+		}
+		if m.Len() != 2 {
+			t.Errorf("meet writes %d locations (%v), want a and late", m.Len(), m.Keys())
+		}
+	}
+	if short.Equal(long) || long.Equal(short) {
+		t.Error("an absent slot equals a written init")
+	}
+	bottom := short.Clone()
+	bottom.SetInPlace("late", BottomTS)
+	if !short.Equal(bottom) || !bottom.Equal(short) {
+		t.Error("an absent slot should equal a written ⊥")
+	}
+}
+
+// TestStoreLenKeysCountWritten: Len and Keys count written slots only,
+// ⊥ writes included, never the table's other names.
+func TestStoreLenKeysCountWritten(t *testing.T) {
+	l := NewLocs("r0", "r1", "r2", "m")
+	s := NewStore(l)
+	if s.Len() != 0 || len(s.Keys()) != 0 {
+		t.Fatalf("empty store: Len %d, Keys %v", s.Len(), s.Keys())
+	}
+	s.SetInPlace("m", BottomTS)
+	s.SetInPlace("r1", Typestate{Type: types.Int32Type, State: InitState, Access: PermO})
+	if s.Len() != 2 || strings.Join(s.Keys(), ",") != "m,r1" {
+		t.Errorf("Len %d, Keys %v, want 2 and [m r1]", s.Len(), s.Keys())
+	}
+	if c := s.Clone(); c.Len() != 2 {
+		t.Errorf("clone Len %d, want 2", c.Len())
+	}
+	if TopStore().Len() != 0 {
+		t.Error("the top store tracks no facts")
+	}
+}
+
+// TestStoreWritesStayPrivate: a write to a clone never shows in the
+// original, nor in a store shared through a ⊤-meet.
+func TestStoreWritesStayPrivate(t *testing.T) {
+	init := Typestate{Type: types.Int32Type, State: InitState, Access: PermO}
+	l := NewLocs("x", "y")
+	orig := NewStore(l)
+	orig.SetInPlace("x", init)
+	shared := TopStore().Meet(orig)
+	c := shared.Clone()
+	c.SetInPlace("x", BottomTS)
+	c.SetInPlace("y", init)
+	c.SetInPlace("z", init)
+	for _, s := range []Store{orig, shared, orig.Meet(TopStore())} {
+		if got := s.String(); got != "x:<int32, initialized, o>" {
+			t.Errorf("store reads %q after writes to a clone", got)
+		}
 	}
 }
