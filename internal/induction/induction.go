@@ -17,16 +17,11 @@
 package induction
 
 import (
-	"fmt"
-	"os"
 	"sort"
 
 	"mcsafe/internal/expr"
 	"mcsafe/internal/solver"
 )
-
-// debugTrace prints the search when MCSAFE_II_DEBUG is set (tests only).
-var debugTrace = os.Getenv("MCSAFE_II_DEBUG") != ""
 
 // Hooks supplies the loop-specific machinery.
 type Hooks struct {
@@ -46,16 +41,12 @@ type Hooks struct {
 	ModifiedVars []expr.Var
 }
 
+// maxQueue bounds the breadth-first queue of candidate chains.
+const maxQueue = 64
+
 // Options bound the search.
 type Options struct {
 	MaxIter int // maximum chain length (default 3)
-	MaxCand int // breadth-first queue bound (default 64)
-	// CollectAll keeps searching after a success and returns the
-	// DISJUNCTION of all closing invariants. Used when crossing a loop
-	// without an entry check: each closing invariant covers the loop's
-	// exit obligations, so their disjunction does too, and the weakest
-	// combination maximizes provability upstream.
-	CollectAll bool
 	// DisableGeneralization and DisableDNF switch off the respective
 	// enhancements (used by the ablation benchmarks).
 	DisableGeneralization bool
@@ -85,9 +76,6 @@ func Synthesize(p *solver.Prover, h Hooks, opts Options) (*Result, bool) {
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 3
 	}
-	if opts.MaxCand <= 0 {
-		opts.MaxCand = 64
-	}
 	res := &Result{}
 
 	w0 := expr.Simplify(h.First(expr.T()))
@@ -115,8 +103,6 @@ func Synthesize(p *solver.Prover, h Hooks, opts Options) (*Result, bool) {
 		ws []expr.Formula
 	}
 	queue := []chain{{ws: []expr.Formula{w0}}}
-	var collected []expr.Formula
-	const maxCollected = 3
 
 	for len(queue) > 0 {
 		if p.Stopped() {
@@ -135,26 +121,10 @@ func Synthesize(p *solver.Prover, h Hooks, opts Options) (*Result, bool) {
 		// chain member; this also licenses candidates that do not come
 		// from the literal W-chain, such as generalizations.)
 		wNext := expr.Simplify(h.Next(conj))
-		if debugTrace {
-			fmt.Printf("[ii] chain len=%d conj=%v\n", len(c.ws), conj)
-		}
 		if p.Valid(wNext) || p.Implied(conj, wNext) {
-			if debugTrace {
-				fmt.Printf("[ii] SUCCESS\n")
-			}
-			if !opts.CollectAll {
-				res.Invariant = expr.Simplify(conj)
-				res.Chain = c.ws
-				return res, true
-			}
-			collected = append(collected, expr.Simplify(conj))
-			if res.Chain == nil {
-				res.Chain = c.ws
-			}
-			if len(collected) >= maxCollected {
-				break
-			}
-			continue
+			res.Invariant = expr.Simplify(conj)
+			res.Chain = c.ws
+			return res, true
 		}
 		if len(c.ws) >= opts.MaxIter {
 			continue
@@ -167,13 +137,7 @@ func Synthesize(p *solver.Prover, h Hooks, opts Options) (*Result, bool) {
 		var passing []expr.Formula
 		for _, cand := range cands {
 			if h.OnEntry != nil && !h.OnEntry(cand) {
-				if debugTrace {
-					fmt.Printf("[ii]   cand REJECTED(entry): %v\n", cand)
-				}
 				continue // Inv.0(i) fails for this candidate
-			}
-			if debugTrace {
-				fmt.Printf("[ii]   cand ok: %v\n", cand)
 			}
 			passing = append(passing, cand)
 		}
@@ -189,18 +153,10 @@ func Synthesize(p *solver.Prover, h Hooks, opts Options) (*Result, bool) {
 		for _, cand := range passing {
 			next := append(append([]expr.Formula(nil), c.ws...), cand)
 			queue = append(queue, chain{ws: next})
-			if len(queue) >= opts.MaxCand {
-				break
+			if len(queue) >= maxQueue {
+				break // keep draining what we have, but add no more
 			}
 		}
-		if len(queue) >= opts.MaxCand {
-			// Keep draining what we have, but add no more.
-			continue
-		}
-	}
-	if len(collected) > 0 {
-		res.Invariant = expr.Simplify(expr.Disj(collected...))
-		return res, true
 	}
 	return res, false
 }
@@ -209,44 +165,30 @@ func Synthesize(p *solver.Prover, h Hooks, opts Options) (*Result, bool) {
 // broad widens the generalization variable sets; it is enabled only when
 // an entry check (Inv.0) is available to prune over-strong junk.
 func candidates(p *solver.Prover, wNext expr.Formula, modified []expr.Var, broad bool, opts Options) []expr.Formula {
-	var out []expr.Formula
+	// out is the first tier of candidates, tier2 the second (see the
+	// per-clause generalizations below).
+	var out, tier2 []expr.Formula
 	// Candidates are deduplicated by structural fingerprint (verified
 	// on match) instead of canonical string: candidate generation is a
 	// hot loop and the strings were built only to be map keys.
 	seen := map[expr.FP]expr.Formula{}
-	dedup := func(f expr.Formula) bool {
+	add := func(to *[]expr.Formula, f expr.Formula) {
+		f = expr.Simplify(f)
+		switch f.(type) {
+		case expr.TrueF, expr.FalseF:
+			return
+		}
 		key := expr.Fingerprint(f)
 		if prev, ok := seen[key]; ok {
 			if expr.Equal(prev, f) {
-				return false
+				return
 			}
 		} else {
 			seen[key] = f
 		}
-		return true
+		*to = append(*to, f)
 	}
-	add := func(f expr.Formula) {
-		f = expr.Simplify(f)
-		switch f.(type) {
-		case expr.TrueF, expr.FalseF:
-			return
-		}
-		if dedup(f) {
-			out = append(out, f)
-		}
-	}
-	var tier2 []expr.Formula
-	add2 := func(f expr.Formula) {
-		f = expr.Simplify(f)
-		switch f.(type) {
-		case expr.TrueF, expr.FalseF:
-			return
-		}
-		if dedup(f) {
-			tier2 = append(tier2, f)
-		}
-	}
-	add(wNext)
+	add(&out, wNext)
 
 	// Generalization: ¬(eliminate(¬W)) for each modified variable that
 	// actually occurs, for all of them together, and — since facts about
@@ -278,28 +220,9 @@ func candidates(p *solver.Prover, wNext expr.Formula, modified []expr.Var, broad
 			}
 		}
 		sort.Slice(others, func(i, j int) bool { return others[i] < others[j] })
-		gen := func(vars []expr.Var) {
-			if g, err := p.Generalize(wNext, vars); err == nil {
-				add(g)
-			}
-			// Per-clause variants: "if there are several resulting
-			// generalizations, then each of them in turn is chosen"
-			// (Section 5.2.1). A clause of ¬W whose projection is
-			// trivial must not wash out the others. With an entry check
-			// these rank alongside the rest; without one they form a
-			// second tier, tried only after the conservative candidates
-			// fail (they can be over-strong, and nothing else filters
-			// them).
-			for _, g := range p.GeneralizeClauses(wNext, vars) {
-				if broad {
-					add(g)
-				} else {
-					add2(g)
-				}
-			}
-		}
+		var sets [][]expr.Var
 		for _, v := range present {
-			gen([]expr.Var{v})
+			sets = append(sets, []expr.Var{v})
 		}
 		// "Present minus one" sets: eliminate every modified variable
 		// except one, so a fact about a variable whose value was
@@ -310,25 +233,41 @@ func candidates(p *solver.Prover, wNext expr.Formula, modified []expr.Var, broad
 				rest := make([]expr.Var, 0, len(present)-1)
 				rest = append(rest, present[:i]...)
 				rest = append(rest, present[i+1:]...)
-				gen(rest)
+				sets = append(sets, rest)
 			}
 		}
 		if len(present) > 1 {
-			gen(present)
+			sets = append(sets, present)
 		}
 		for _, v := range others {
-			gen(append(append([]expr.Var{}, present...), v))
+			sets = append(sets, append(append([]expr.Var{}, present...), v))
 			// Also eliminate the unmodified variable alone, keeping the
 			// loop-modified ones: this projects out a limit or bound
 			// variable while preserving the induction variable (needed
 			// when the invariant relates the induction variable to a
 			// constant, e.g. j >= 0 in a doubling sift-down loop).
-			gen([]expr.Var{v})
+			sets = append(sets, []expr.Var{v})
 		}
 		if len(others) > 1 {
 			// All unmodified variables at once: what remains is a pure
 			// fact about the induction variables.
-			gen(others)
+			sets = append(sets, others)
+		}
+		// Each set yields its whole generalization, then the per-clause
+		// ones. A clause of ¬W whose projection is trivial must not wash
+		// out the others. With an entry check the per-clause ones rank
+		// alongside the rest; without one they form a second tier, tried
+		// only after the conservative candidates fail (they can be
+		// over-strong, and nothing else filters them).
+		perClause := &tier2
+		if broad {
+			perClause = &out
+		}
+		for _, gens := range p.Generalize(wNext, sets) {
+			add(&out, gens[0])
+			for _, g := range gens[1:] {
+				add(perClause, g)
+			}
 		}
 	}
 
@@ -345,7 +284,7 @@ func candidates(p *solver.Prover, wNext expr.Formula, modified []expr.Var, broad
 		clauses, err := expr.DNFUpTo(wNext, 8)
 		if err == nil && len(clauses) > 1 {
 			for _, cl := range clauses {
-				add(expr.ClauseFormula(cl))
+				add(&out, expr.ClauseFormula(cl))
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package propagate
 
 import (
 	"sort"
-	"strings"
 
 	"mcsafe/internal/cfg"
 	"mcsafe/internal/rtl"
@@ -16,13 +15,9 @@ type modSet struct {
 	// regs are the store slots of the registers it may write, ascending.
 	regs []int
 	// mem is true when the procedure (transitively) stores to memory or
-	// calls a trusted function: all non-register locations count as
-	// modified.
+	// calls a trusted function: all non-register locations (slots not
+	// marked as registers; see Result.isReg) count as modified.
 	mem bool
-}
-
-func isRegLoc(name string) bool {
-	return strings.HasPrefix(name, "%") || strings.HasPrefix(name, "w")
 }
 
 // computeModSets builds the per-procedure modification summaries,

@@ -117,9 +117,12 @@ type Result struct {
 	conv *isa.Convention
 	mods []*modSet
 	// locs is the run's location table, and regSlots[d][reg] the slot
-	// of register reg at window depth d.
+	// of register reg at window depth d. isReg marks every slot made for
+	// a register, here or by regSlot; return edges tell registers from
+	// memory by it.
 	locs     *typestate.Locs
 	regSlots [][]int
+	isReg    []bool
 	// In and Out are the abstract stores before/after each node.
 	In, Out []typestate.Store
 	// Kind is the resolved usage kind of each node.
@@ -190,7 +193,7 @@ func Run(g *cfg.Graph, ini *policy.Initial) *Result {
 	for d := range r.regSlots {
 		r.regSlots[d] = make([]int, r.rm.N())
 		for reg := range r.regSlots[d] {
-			r.regSlots[d][reg] = r.locs.Index(r.rm.Loc(rtl.Reg(reg), d))
+			r.regSlots[d][reg] = r.markReg(r.locs.Index(r.rm.Loc(rtl.Reg(reg), d)))
 		}
 	}
 	entry := typestate.NewStore(r.locs)
@@ -295,7 +298,8 @@ func (r *Result) edgeTransfer(e cfg.Edge, pred, succ int, out typestate.Store) t
 		}
 		if ms.mem {
 			for i := range r.locs.Len() {
-				if (out.Has(i) || callerOut.Has(i)) && !isRegLoc(r.locs.Name(i)) {
+				isReg := i < len(r.isReg) && r.isReg[i]
+				if (out.Has(i) || callerOut.Has(i)) && !isReg {
 					merged.SetAt(i, out.At(i))
 				}
 			}
@@ -394,7 +398,16 @@ func (r *Result) regSlot(reg rtl.Reg, depth int) int {
 	if depth >= 0 && depth < len(r.regSlots) {
 		return r.regSlots[depth][reg]
 	}
-	return r.locs.Index(r.rm.Loc(reg, depth))
+	return r.markReg(r.locs.Index(r.rm.Loc(reg, depth)))
+}
+
+// markReg records slot i as a register's and returns it.
+func (r *Result) markReg(i int) int {
+	for len(r.isReg) <= i {
+		r.isReg = append(r.isReg, false)
+	}
+	r.isReg[i] = true
+	return i
 }
 
 func (r *Result) regTS(reg rtl.Reg, depth int, s typestate.Store) typestate.Typestate {

@@ -82,7 +82,7 @@ func TestGeneralizeClausesSharpens(t *testing.T) {
 	w := expr.Implies(expr.LtExpr(g2.Scale(2).AddConst(1), g4), expr.Ge(g2))
 	// Eliminating g4 projects the clause onto g2 <= -1; its negation is
 	// the sharp fact g2 >= 0.
-	got := p.GeneralizeClauses(w, []expr.Var{"%g4"})
+	got := p.Generalize(w, [][]expr.Var{{"%g4"}})[0][1:]
 	found := false
 	for _, f := range got {
 		if p.Valid(expr.Implies(f, expr.Ge(g2))) && p.Valid(expr.Implies(expr.Ge(g2), f)) {
@@ -90,12 +90,13 @@ func TestGeneralizeClausesSharpens(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("GeneralizeClauses = %v, want a candidate equivalent to g2 >= 0", got)
+		t.Errorf("per-clause generalizations = %v, want one equivalent to g2 >= 0", got)
 	}
 }
 
-// TestGeneralizeClausesAreStrengthenings: every candidate implies the
-// original formula (they are strengthening candidates).
+// TestGeneralizeClausesAreStrengthenings: every candidate, the whole
+// generalization and the per-clause ones, implies the original formula
+// (they are strengthening candidates).
 func TestGeneralizeClausesAreStrengthenings(t *testing.T) {
 	p := New()
 	r := rand.New(rand.NewSource(88))
@@ -105,7 +106,11 @@ func TestGeneralizeClausesAreStrengthenings(t *testing.T) {
 		b := expr.Ge(expr.Term(int64(r.Intn(3)-1), "x").
 			Add(expr.Term(int64(r.Intn(3)-1), "z")).AddConst(int64(r.Intn(5) - 2)))
 		w := expr.Implies(a, b)
-		for _, cand := range p.GeneralizeClauses(w, []expr.Var{"x"}) {
+		out := p.Generalize(w, [][]expr.Var{{"x"}})
+		if out == nil {
+			t.Fatalf("no generalization of %v", w)
+		}
+		for _, cand := range out[0] {
 			for j := 0; j < 40; j++ {
 				env := map[expr.Var]int64{
 					"x": int64(r.Intn(9) - 4),
@@ -127,8 +132,8 @@ func TestGeneralizeClausesQuantified(t *testing.T) {
 	w := expr.Forall{V: v, F: expr.Implies(
 		expr.NeExpr(expr.V(v), expr.Constant(0)),
 		expr.GeExpr(expr.V("x"), expr.Constant(0)))}
-	got := p.GeneralizeClauses(w, nil)
-	if len(got) == 0 {
+	out := p.Generalize(w, [][]expr.Var{nil})
+	if out == nil || len(out[0]) < 2 {
 		t.Fatal("quantified input should still generalize")
 	}
 }

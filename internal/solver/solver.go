@@ -1102,90 +1102,82 @@ func (p *Prover) ineqsUnsat(ineqs expr.Clause) bool {
 	return false
 }
 
-// Eliminate projects away the given variables from a formula using
-// real-shadow Fourier-Motzkin elimination per DNF clause. Quantifiers
-// are first removed by over-approximating quantifier elimination, so the
-// result is an over-approximation of ∃vars.f. This is the "elimination"
-// step of the generalization heuristic of Section 5.2.1.
-func (p *Prover) Eliminate(f expr.Formula, vars []expr.Var) (expr.Formula, error) {
-	qf, ok := p.qe(expr.NNF(f), true)
+// maxClauseGens caps the per-clause generalizations: Generalize makes
+// them only when ¬w has at most this many DNF clauses.
+const maxClauseGens = 64
+
+// Generalize computes the generalizations ¬(elimination(¬w)) of Section
+// 5.2.1 for each variable set. ¬w is normalized once: over-approximating
+// quantifier elimination, then DNF. Each clause is projected once per
+// set by real-shadow Fourier-Motzkin elimination. For set i, out[i] is
+// the whole generalization (the negated disjunction of all projected
+// clauses), then, when ¬w has at most maxClauseGens clauses, each
+// clause's own ("if there are several resulting generalizations, then
+// each of them in turn is chosen"), each followed, for a multi-atom
+// projection, by the negation of each atom: the negated conjunction is
+// a disjunction its weakest disjunct dominates, and an atom's is often
+// sharper ("limit <= n" rather than "limit <= n ∨ limit <= n+1").
+// Trivial per-clause and per-atom results are skipped. out is nil when
+// quantifier elimination fails or the DNF exceeds its cap (counted once
+// in DNFBlowups). The results are strengthening candidates; callers
+// must re-verify anything built from them.
+func (p *Prover) Generalize(w expr.Formula, sets [][]expr.Var) [][]expr.Formula {
+	if len(sets) == 0 {
+		return nil
+	}
+	qf, ok := p.qe(expr.NNF(expr.Negate(w)), true)
 	if !ok {
-		return nil, fmt.Errorf("solver: cannot eliminate quantifiers")
+		return nil
 	}
 	clauses, err := expr.DNF(qf)
 	if err != nil {
 		p.Stats.DNFBlowups++
-		return nil, err
-	}
-	var out []expr.Formula
-	for _, c := range clauses {
-		cur := c
-		for _, v := range vars {
-			cur, _ = p.eliminateFromClause(cur, v, true)
-		}
-		out = append(out, expr.ClauseFormula(cur))
-	}
-	return expr.Simplify(expr.Disj(out...)), nil
-}
-
-// Generalize computes the generalization of f: ¬(Eliminate(¬f, vars))
-// (Section 5.2.1). The result is a strengthening candidate; callers must
-// re-verify anything built from it.
-func (p *Prover) Generalize(f expr.Formula, vars []expr.Var) (expr.Formula, error) {
-	elim, err := p.Eliminate(expr.NNF(expr.Negate(f)), vars)
-	if err != nil {
-		return nil, err
-	}
-	return expr.Simplify(expr.NNF(expr.Negate(elim))), nil
-}
-
-// GeneralizeClauses computes one generalization per DNF clause of ¬f:
-// ¬(eliminate(vars, clause)). When ¬f splits into several cases, a case
-// whose projection is trivial (true) would otherwise wash out the useful
-// generalizations of the other cases; per-clause results are the
-// "several resulting generalizations" of Section 5.2.1, each tried in
-// turn.
-func (p *Prover) GeneralizeClauses(f expr.Formula, vars []expr.Var) []expr.Formula {
-	qf, ok := p.qe(expr.NNF(expr.Negate(f)), true)
-	if !ok {
 		return nil
 	}
-	// Only expansions of at most 64 clauses are usable below, so cap
-	// the conversion there instead of materializing a huge expansion
-	// just to measure it. The over-cap bail-out is a search-policy cut,
-	// not a prover blowup, and is not counted in DNFBlowups.
-	clauses, err := expr.DNFUpTo(qf, 64)
-	if err != nil {
-		return nil
-	}
-	var out []expr.Formula
-	for _, c := range clauses {
-		cur := c
-		for _, v := range vars {
-			cur, _ = p.eliminateFromClause(cur, v, true)
-		}
-		g := expr.Simplify(expr.NNF(expr.Negate(expr.ClauseFormula(cur))))
-		switch g.(type) {
-		case expr.TrueF, expr.FalseF:
-			continue
-		}
-		out = append(out, g)
-		// The negation of a multi-atom projection is a disjunction, in
-		// which the weakest disjunct dominates; the negation of each
-		// individual atom is a stronger, often sharper candidate (e.g.
-		// "limit <= n" rather than "limit <= n ∨ limit <= n+1").
-		if len(cur) > 1 {
-			for _, a := range cur {
-				na := expr.Simplify(expr.NNF(expr.Negate(expr.AtomF{A: a})))
-				switch na.(type) {
-				case expr.TrueF, expr.FalseF:
-					continue
+	perClause := len(clauses) <= maxClauseGens
+	out := make([][]expr.Formula, len(sets))
+	for i, vars := range sets {
+		// Each set gets its own projection slice, so no formula returned
+		// for one set shares storage with another's.
+		proj := make([]expr.Formula, len(clauses))
+		gens := []expr.Formula{nil} // the whole generalization goes first
+		for j, c := range clauses {
+			cur := c
+			for _, v := range vars {
+				cur, _ = p.eliminateFromClause(cur, v, true)
+			}
+			proj[j] = expr.ClauseFormula(cur)
+			if !perClause {
+				continue
+			}
+			g, ok := negated(proj[j])
+			if !ok {
+				continue
+			}
+			gens = append(gens, g)
+			if len(cur) > 1 {
+				for _, a := range cur {
+					if na, ok := negated(expr.AtomF{A: a}); ok {
+						gens = append(gens, na)
+					}
 				}
-				out = append(out, na)
 			}
 		}
+		gens[0], _ = negated(expr.Simplify(expr.Disj(proj...)))
+		out[i] = gens
 	}
 	return out
+}
+
+// negated returns ¬f in simplified negation normal form, and false when
+// that is trivial (true or false).
+func negated(f expr.Formula) (expr.Formula, bool) {
+	g := expr.Simplify(expr.NNF(expr.Negate(f)))
+	switch g.(type) {
+	case expr.TrueF, expr.FalseF:
+		return g, false
+	}
+	return g, true
 }
 
 func gcd64(a, b int64) int64 {

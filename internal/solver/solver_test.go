@@ -165,6 +165,18 @@ func TestQuantifiers(t *testing.T) {
 	}
 }
 
+// eliminated is the elimination step of Generalize alone: the
+// projection of f onto the variables outside vars, as the negation of
+// the whole generalization of ¬f. ok is false when Generalize yields
+// nothing.
+func eliminated(p *Prover, f expr.Formula, vars []expr.Var) (expr.Formula, bool) {
+	out := p.Generalize(expr.Negate(f), [][]expr.Var{vars})
+	if out == nil {
+		return nil, false
+	}
+	return expr.Negate(out[0][0]), true
+}
+
 func TestEliminate(t *testing.T) {
 	p := New()
 	g3, o1, n := expr.Var("%g3"), expr.Var("%o1"), expr.Var("n")
@@ -175,14 +187,14 @@ func TestEliminate(t *testing.T) {
 		expr.LtExpr(expr.V(g3).AddConst(1), expr.V(o1)),
 		expr.GeExpr(expr.V(g3).AddConst(1), expr.V(n)),
 	)
-	g, err := p.Eliminate(f, []expr.Var{g3})
-	if err != nil {
-		t.Fatal(err)
+	g, ok := eliminated(p, f, []expr.Var{g3})
+	if !ok {
+		t.Fatal("no elimination")
 	}
 	// g should be equivalent to %o1 > n, i.e. %o1 - n - 1 >= 0.
 	want := expr.GtExpr(expr.V(o1), expr.V(n))
 	if !p.Valid(expr.Conj(expr.Implies(g, want), expr.Implies(want, g))) {
-		t.Errorf("Eliminate = %v, want equivalent of %v", g, want)
+		t.Errorf("elimination = %v, want equivalent of %v", g, want)
 	}
 }
 
@@ -195,10 +207,11 @@ func TestGeneralizePaperExample(t *testing.T) {
 	w1 := expr.Implies(
 		expr.LtExpr(expr.V(g3).AddConst(1), expr.V(o1)),
 		expr.LtExpr(expr.V(g3).AddConst(1), expr.V(n)))
-	g, err := p.Generalize(w1, []expr.Var{g3})
-	if err != nil {
-		t.Fatal(err)
+	out := p.Generalize(w1, [][]expr.Var{{g3}})
+	if out == nil {
+		t.Fatal("no generalization")
 	}
+	g := out[0][0]
 	want := expr.LeExpr(expr.V(o1), expr.V(n))
 	if !p.Valid(expr.Conj(expr.Implies(g, want), expr.Implies(want, g))) {
 		t.Errorf("Generalize = %v, want equivalent of %v", g, want)
@@ -305,13 +318,13 @@ func TestUnsatSoundness(t *testing.T) {
 }
 
 func TestEliminateIsOverApproximation(t *testing.T) {
-	// Every model of f (projected) must satisfy Eliminate(f, vars).
+	// Every model of f (projected) must satisfy the elimination of x.
 	r := rand.New(rand.NewSource(321))
 	p := New()
 	for i := 0; i < 800; i++ {
 		f := expr.Conj(randAtomS(r), randAtomS(r), randAtomS(r))
-		g, err := p.Eliminate(f, []expr.Var{"x"})
-		if err != nil {
+		g, ok := eliminated(p, f, []expr.Var{"x"})
+		if !ok {
 			continue
 		}
 		for j := 0; j < 100; j++ {
@@ -321,7 +334,7 @@ func TestEliminateIsOverApproximation(t *testing.T) {
 				"z": int64(r.Intn(21) - 10),
 			}
 			if f.Eval(env, nil) && !g.Eval(env, nil) {
-				t.Fatalf("Eliminate not an over-approximation:\n f=%v\n g=%v\n env=%v", f, g, env)
+				t.Fatalf("elimination not an over-approximation:\n f=%v\n g=%v\n env=%v", f, g, env)
 			}
 		}
 	}

@@ -123,13 +123,14 @@ type Engine struct {
 	// formula (by fingerprint, verified structurally on hit) and its
 	// proof point, and a verdict about those is a fact whichever engine
 	// computes it. crossCache maps a crossing's composite fingerprint to
-	// its synthesized invariant and stays per engine — an invariant
-	// carries the minting engine's fresh-variable names, which another
-	// engine could independently re-mint with a different meaning
-	// (capture).
+	// its synthesized invariant, stored with the context the fingerprint
+	// is built from and verified on a hit. It stays per engine — an
+	// invariant carries the minting engine's fresh-variable names, which
+	// another engine could independently re-mint with a different
+	// meaning (capture).
 	cache      *solver.ShardedCache
 	entryCache *solver.ShardedCache
-	crossCache map[expr.FP]expr.Formula
+	crossCache map[expr.FP]crossEntry
 	// entryActive breaks recursion cycles between loop crossings and
 	// their entry checks (a cycle answers false: conservative). cuts
 	// counts the cycles it has broken, so a cache can tell a result
@@ -146,7 +147,7 @@ func New(res *propagate.Result, p *solver.Prover, opts Options) *Engine {
 		conv:        arch.Conv(),
 		cache:       solver.NewShardedCache(),
 		entryCache:  solver.NewShardedCache(),
-		crossCache:  make(map[expr.FP]expr.Formula),
+		crossCache:  make(map[expr.FP]crossEntry),
 		entryActive: make(map[expr.FP]bool)}
 }
 
@@ -820,43 +821,17 @@ func (e *Engine) crossLoopEntry(
 			exitVals[x.To] = outerCont(x.To)
 		}
 	}
-	// The key fingerprints the crossing's full context: the header plus
-	// each (sorted) id→formula section, with a tag and length word per
-	// section so the three lists cannot run into each other.
-	key := expr.SeedFP(0xc5055).Mixed(uint64(c.Header))
-	{
-		ids := make([]int, 0, len(exitVals))
-		for id := range exitVals {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		key = key.Mixed(1).Mixed(uint64(len(ids)))
-		for _, id := range ids {
-			key = key.Mixed(uint64(id)).MixFP(expr.Fingerprint(exitVals[id]))
-		}
-		tids := make([]int, 0, len(targets))
-		for n := range targets {
-			tids = append(tids, n)
-		}
-		sort.Ints(tids)
-		key = key.Mixed(2).Mixed(uint64(len(tids)))
-		for _, n := range tids {
-			key = key.Mixed(uint64(n)).MixFP(expr.Fingerprint(targets[n]))
-		}
-		lids := make([]int, 0, len(loopEntryTargets))
-		byHeader := map[int]expr.Formula{}
-		for l2, f := range loopEntryTargets {
-			lids = append(lids, l2.Header)
-			byHeader[l2.Header] = f
-		}
-		sort.Ints(lids)
-		key = key.Mixed(3).Mixed(uint64(len(lids)))
-		for _, h := range lids {
-			key = key.Mixed(uint64(h)).MixFP(expr.Fingerprint(byHeader[h]))
-		}
+	byHeader := make(map[int]expr.Formula, len(loopEntryTargets))
+	for l2, f := range loopEntryTargets {
+		byHeader[l2.Header] = f
 	}
-	if inv, ok := e.crossCache[key]; ok {
-		return inv
+	ctx := crossCtx{ids: []int{c.Header}}
+	ctx.add(exitVals)
+	ctx.add(targets)
+	ctx.add(byHeader)
+	key := ctx.key()
+	if ent, ok := e.crossCache[key]; ok && ent.ctx.equal(ctx) {
+		return ent.inv
 	}
 	cuts := e.cuts
 	exitFn := func(to int) expr.Formula {
@@ -881,7 +856,66 @@ func (e *Engine) crossLoopEntry(
 		inv = res.Invariant
 	}
 	if e.storable(cuts) {
-		e.crossCache[key] = inv
+		e.crossCache[key] = crossEntry{ctx: ctx, inv: inv}
 	}
 	return inv
+}
+
+// crossCtx is the context a crossing's invariant is synthesized for,
+// flattened: ids holds the loop header, then for the exit
+// continuations, the targets and the loop-entry targets (by header) in
+// turn, a count and the ascending ids; fs holds their formulas in the
+// same order.
+type crossCtx struct {
+	ids []int
+	fs  []expr.Formula
+}
+
+// crossEntry is one crossCache slot: a synthesized invariant and the
+// context it was synthesized for.
+type crossEntry struct {
+	ctx crossCtx
+	inv expr.Formula
+}
+
+func (c *crossCtx) add(m map[int]expr.Formula) {
+	c.ids = append(c.ids, len(m))
+	start := len(c.ids)
+	for id := range m {
+		c.ids = append(c.ids, id)
+	}
+	sort.Ints(c.ids[start:])
+	for _, id := range c.ids[start:] {
+		c.fs = append(c.fs, m[id])
+	}
+}
+
+func (c crossCtx) key() expr.FP {
+	key := expr.SeedFP(0xc5055)
+	for _, id := range c.ids {
+		key = key.Mixed(uint64(id))
+	}
+	for _, f := range c.fs {
+		key = key.MixFP(expr.Fingerprint(f))
+	}
+	return key
+}
+
+// equal verifies a key hit: a fingerprint collision between different
+// contexts is a miss.
+func (c crossCtx) equal(d crossCtx) bool {
+	if len(c.ids) != len(d.ids) || len(c.fs) != len(d.fs) {
+		return false
+	}
+	for i := range c.ids {
+		if c.ids[i] != d.ids[i] {
+			return false
+		}
+	}
+	for i := range c.fs {
+		if !expr.Equal(c.fs[i], d.fs[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -10,21 +10,32 @@ import (
 	"mcsafe/internal/solver"
 )
 
-// loopThenAccessAsm counts %g3 up to n while %g4 steps by 4 bytes, and
-// then reads the element before offset %g4: the access's requirements
-// reach the procedure entry only across the loop, through a crossing
-// invariant whose synthesis outlasts the solver's first deadline check.
+// loopThenAccessAsm counts %g3 up to n while four more counters (%g4,
+// %g5, %l0 and %l1) count along with it, and then reads the word at
+// byte offset %g4+%g5+%l0+%l1-4: the access's requirements reach the
+// procedure entry only across the loop, through a crossing invariant
+// over four modified variables whose synthesis outlasts the solver's
+// first deadline check (every 64th tick).
 const loopThenAccessAsm = `
 	mov %o0,%o2
 	clr %g3
 	clr %g4
+	clr %g5
+	clr %l0
+	clr %l1
 loop:
 	inc %g3
-	add %g4,4,%g4
+	inc %g4
+	inc %g5
+	inc %l0
+	inc %l1
 	cmp %g3,%o1
 	bl loop
 	nop
-	sub %g4,4,%g2
+	add %g4,%g5,%g2
+	add %g2,%l0,%g2
+	add %g2,%l1,%g2
+	sub %g2,4,%g2
 	ld [%o2+%g2],%g1
 	retl
 	nop
@@ -86,8 +97,8 @@ func TestCrossingUnderTripNotStored(t *testing.T) {
 	if stop := e.P.ResourceStop(); stop != solver.StopCondTimeout {
 		t.Fatalf("stop = %q, want %q", stop, solver.StopCondTimeout)
 	}
-	for key, inv := range e.crossCache {
-		if _, isFalse := inv.(expr.FalseF); isFalse {
+	for key, ent := range e.crossCache {
+		if _, isFalse := ent.inv.(expr.FalseF); isFalse {
 			t.Errorf("crossing %v stored the false reached under the trip", key)
 		}
 	}

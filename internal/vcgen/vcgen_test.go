@@ -136,10 +136,11 @@ func TestSec522InductionIterationTrace(t *testing.T) {
 	}
 	// ... but the generalization of W(1) over the loop-modified %g3 is
 	// equivalent to %o1 <= n.
-	gen, err := pl.p.Generalize(w1, []expr.Var{"%g3"})
-	if err != nil {
-		t.Fatal(err)
+	gens := pl.p.Generalize(w1, [][]expr.Var{{"%g3"}})
+	if gens == nil {
+		t.Fatal("no generalization of W(1)")
 	}
+	gen := gens[0][0]
 	wantGen := expr.LeExpr(expr.V("%o1"), expr.V("n"))
 	if !pl.p.Valid(expr.Conj(expr.Implies(gen, wantGen), expr.Implies(wantGen, gen))) {
 		t.Errorf("generalization = %v, want equivalent of %%o1 <= n", gen)

@@ -2,6 +2,7 @@ package mcsafe
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -178,6 +179,75 @@ func TestBuiltinsConsistent(t *testing.T) {
 		}
 		if res.Safe != b.WantSafe {
 			t.Errorf("%s: Safe = %v, want %v", name, res.Safe, b.WantSafe)
+		}
+	}
+}
+
+// returnEdgeAsm stores a pointer into the location pp points to, then
+// calls f, which overwrites that location with a null pointer through
+// the same address before main dereferences what it holds.
+const returnEdgeAsm = `
+main:
+	save %sp,-96,%sp
+	st %i1,[%i0]
+	mov %i2,%o1
+	call f
+	mov %i0,%o0
+	ld [%i0],%l0
+	ld [%l0],%l1
+	ret
+	restore
+f:
+	st %o1,[%o0]
+	retl
+	nop
+`
+
+// returnEdgeSpec names the host location the callee writes LOC.
+const returnEdgeSpec = `
+region H
+loc x int state init region H
+loc LOC ptr<int> state {x,null} region H
+val pp ptr<ptr<int>> state {LOC} region H
+val px ptr<int> state {x} region H
+val np ptr<int> state {null} region H
+invoke %o0 = pp
+invoke %o1 = px
+invoke %o2 = np
+allow H ptr<int> rwfo
+allow H int rwo
+allow H ptr<ptr<int>> rfo
+`
+
+// TestReturnEdgeTellsMemoryFromRegisters: on the return edge from a
+// callee that writes memory, every host location takes the callee's
+// typestate, whatever its name. A location named like a windowed
+// register ("wp") once kept the caller's, so main's dereference of the
+// null f stored was approved.
+func TestReturnEdgeTellsMemoryFromRegisters(t *testing.T) {
+	var want []Violation
+	for _, name := range []string{"vp", "wp"} {
+		spec, err := ParseSpec(strings.ReplaceAll(returnEdgeSpec, "LOC", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := Assemble(returnEdgeAsm, spec, "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := New(WithParallelism(1)).Check(context.Background(), prog, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Safe {
+			t.Fatalf("location %q: f stores null through pp before main dereferences it, yet the verdict is safe", name)
+		}
+		if want == nil {
+			want = res.Violations
+			continue
+		}
+		if !reflect.DeepEqual(res.Violations, want) {
+			t.Errorf("location %q: violations %v, want %v (as for %q)", name, res.Violations, want, "vp")
 		}
 	}
 }
