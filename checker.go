@@ -69,8 +69,7 @@ const (
 //	c := mcsafe.New(mcsafe.WithParallelism(4), mcsafe.WithObserver(tr))
 //	res, err := c.Check(ctx, prog, spec)
 type Checker struct {
-	opts Options
-	obs  *obs.Trace
+	opts core.Options
 }
 
 // CheckerOption is one functional configuration option for New.
@@ -87,7 +86,7 @@ func WithParallelism(n int) CheckerOption {
 // WithObserver directs the checker's spans and counters into t. A nil t
 // restores the default no-op observer.
 func WithObserver(t *Trace) CheckerOption {
-	return func(c *Checker) { c.obs = t }
+	return func(c *Checker) { c.opts.Obs = t }
 }
 
 // WithBudget sets the checker's resource envelope. Conditions whose
@@ -100,19 +99,19 @@ func WithBudget(b Budget) CheckerOption {
 // WithMaxInductionIterations bounds the induction-iteration chains used
 // to synthesize loop invariants (the paper finds 3 sufficient).
 func WithMaxInductionIterations(k int) CheckerOption {
-	return func(c *Checker) { c.opts.MaxInductionIterations = k }
+	return func(c *Checker) { c.opts.Induction.MaxIter = k }
 }
 
 // WithoutGeneralization disables the Fourier-Motzkin generalization
 // enhancement of induction iteration (Section 5.2.1) — for ablations.
 func WithoutGeneralization() CheckerOption {
-	return func(c *Checker) { c.opts.DisableGeneralization = true }
+	return func(c *Checker) { c.opts.Induction.DisableGeneralization = true }
 }
 
 // WithoutDNF disables the DNF-disjunct enhancement of induction
 // iteration (Section 5.2.1) — for ablations.
 func WithoutDNF() CheckerOption {
-	return func(c *Checker) { c.opts.DisableDNF = true }
+	return func(c *Checker) { c.opts.Induction.DisableDNF = true }
 }
 
 // New builds a Checker from functional options.
@@ -135,9 +134,7 @@ func (c *Checker) Check(ctx context.Context, prog *Program, spec *Spec) (*Result
 	if pa, sa := prog.Arch(), spec.Arch(); pa != sa {
 		return nil, fmt.Errorf("mcsafe: program architecture %q does not match spec architecture %q", pa, sa)
 	}
-	co := coreOptions(c.opts)
-	co.Obs = c.obs
-	res, err := core.CheckContext(ctx, prog.prog, spec.spec, co)
+	res, err := core.CheckContext(ctx, prog.prog, spec.spec, c.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -146,10 +143,9 @@ func (c *Checker) Check(ctx context.Context, prog *Program, spec *Spec) (*Result
 
 // CheckAll checks many program+policy pairs concurrently with a bounded
 // worker pool (parallelism 0 means GOMAXPROCS), under the context. Each
-// item is checked with this Checker's configuration unless its
-// BatchItem.Opts override it (a zero Opts inherits the Checker's).
-// When the batch runs more than one check at a time, an item whose
-// Parallelism is 0 proves its Phase 5 with one worker, since the batch
+// item is checked with this Checker's configuration. When the batch
+// runs more than one check at a time and the Checker's Parallelism is
+// 0, each item proves its Phase 5 with one worker, since the batch
 // already saturates the cores. Outcomes are indexed like items.
 func (c *Checker) CheckAll(ctx context.Context, items []BatchItem, parallelism int) []BatchResult {
 	inner := make([]core.CheckItem, len(items))
@@ -161,12 +157,7 @@ func (c *Checker) CheckAll(ctx context.Context, items []BatchItem, parallelism i
 		if it.Spec != nil {
 			ci.Spec = it.Spec.spec
 		}
-		opts := it.Opts
-		if opts == (Options{}) {
-			opts = c.opts
-		}
-		ci.Opts = coreOptions(opts)
-		ci.Opts.Obs = c.obs
+		ci.Opts = c.opts
 		inner[i] = ci
 	}
 	outcomes := core.CheckAllContext(ctx, inner, parallelism)

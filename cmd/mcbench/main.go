@@ -309,7 +309,9 @@ func collect(opts core.Options, wanted map[string]bool, parallel int, ablate str
 const regressionFloorNs = 50_000_000
 
 // compareBaseline reruns the benchmarks and diffs them against a stored
-// -json report. Verdict changes and errors always fail; timing fails
+// -json report. A run whose GOMAXPROCS or -parallel differs from the
+// baseline's is refused (exit 2) before any check runs: its times are
+// not comparable. Verdict changes and errors always fail; timing fails
 // only on gross slowdowns (the threshold is deliberately generous, CI
 // machines differ from the one that wrote the baseline). When gated
 // counters are given, the rerun also collects effort counters and fails
@@ -325,12 +327,17 @@ func compareBaseline(path string, threshold float64, opts core.Options, wanted m
 		fmt.Fprintf(os.Stderr, "mcbench: %s: %v\n", path, err)
 		return 2
 	}
+	if procs := runtime.GOMAXPROCS(0); base.GoMaxProcs != procs || base.Parallelism != opts.Parallelism {
+		fmt.Fprintf(os.Stderr, "mcbench: %s was recorded at GOMAXPROCS %d and -parallel %d, this run has %d and %d; rerun with the baseline's settings\n",
+			path, base.GoMaxProcs, base.Parallelism, procs, opts.Parallelism)
+		return 2
+	}
 	baseByName := make(map[string]jsonProgram, len(base.Programs))
 	for _, p := range base.Programs {
 		baseByName[p.Name] = p
 	}
 
-	cur := collect(opts, wanted, 0, "", len(gated) > 0)
+	cur := collect(opts, wanted, opts.Parallelism, "", len(gated) > 0)
 	failures := counterGate(gated, sumCounters(cur.Programs))
 	for _, p := range cur.Programs {
 		b, ok := baseByName[p.Name]

@@ -153,17 +153,13 @@ func (a *annotator) regTS(node *cfg.Node, reg rtl.Reg, in typestate.Store) types
 }
 
 // operands pulls the node's assignment source apart: the operand
-// structure of an occurrence is read off its lifted RTL, never the
+// structure of an occurrence is read off its effect shape, never the
 // architecture's instruction encoding.
 func operands(node *cfg.Node) (bin rtl.Bin, hasBin bool) {
-	for _, eff := range node.RTL {
-		if x, ok := eff.(rtl.Assign); ok {
-			if b, isBin := x.Src.(rtl.Bin); isBin {
-				return b, true
-			}
-		}
+	if a := node.Shape.Assign(); a != nil {
+		bin, hasBin = a.Src.(rtl.Bin)
 	}
-	return rtl.Bin{}, false
+	return bin, hasBin
 }
 
 // regOf unwraps a register read (ZeroReg, false for anything else).

@@ -369,14 +369,17 @@ end
 	}
 }
 
+// TestRenameRegs: a trusted function's precondition speaks about the
+// entry window; at a call site two windows deep its registers are the
+// depth-2 variables.
 func TestRenameRegs(t *testing.T) {
-	a := &annotator{rm: sparc.Arch.Regs()}
+	rm := sparc.Arch.Regs()
 	f := expr.GeExpr(expr.V("%o0"), expr.Constant(0))
-	g := a.renameRegs(f, 2)
+	g := rm.RenameToDepth(f, 2)
 	if !strings.Contains(g.String(), "w2.%o0") {
-		t.Errorf("renameRegs = %v", g)
+		t.Errorf("RenameToDepth = %v", g)
 	}
-	if a.renameRegs(f, 0).String() != f.String() {
+	if rm.RenameToDepth(f, 0).String() != f.String() {
 		t.Error("depth 0 should be identity")
 	}
 }

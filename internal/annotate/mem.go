@@ -24,29 +24,31 @@ func (a *annotator) visitMem(node *cfg.Node, in typestate.Store) {
 	}
 	isStore := res.Kind[node.ID] == propagate.KindStore
 
-	// The access shape comes from the node's lifted memory effect.
+	// The access shape comes from the node's memory effect.
 	var base, rd rtl.Reg
 	var size int
-	for _, eff := range node.RTL {
-		switch x := eff.(type) {
-		case rtl.Load:
-			rd, size = x.Dst, x.Size
-			if b, ok := x.Addr.(rtl.Bin); ok {
-				base, _ = regOf(b.A)
-			}
-		case rtl.Store:
-			size = x.Size
-			if src, ok := x.Src.(rtl.RegX); ok {
-				rd = src.R
-			}
-			if b, ok := x.Addr.(rtl.Bin); ok {
-				base, _ = regOf(b.A)
-			}
-		}
+	var addr rtl.Expr
+	switch x := node.Shape.Mem.(type) {
+	case rtl.Load:
+		rd, size, addr = x.Dst, x.Size, x.Addr
+	case rtl.Store:
+		size, addr = x.Size, x.Addr
+		rd, _ = regOf(x.Src)
+	}
+	if b, ok := addr.(rtl.Bin); ok {
+		base, _ = regOf(b.A)
 	}
 
-	a.check(node, CodePolicy, len(acc.Targets) > 0, "memory access resolves to no abstract location")
-	if len(acc.Targets) == 0 {
+	// An access that resolves to no abstract location is this check's
+	// one report. Through a pointer whose only referent is null it is a
+	// null dereference.
+	resolved := len(acc.Targets) > 0
+	if !resolved && onlyNull(a.regTS(node, base, in)) {
+		a.check(node, CodeNullPtr, false, "dereference of %s, which points only to null", a.rm.Name(base))
+		return
+	}
+	a.check(node, CodePolicy, resolved, "memory access resolves to no abstract location")
+	if !resolved {
 		return
 	}
 
@@ -155,7 +157,7 @@ func (a *annotator) visitMem(node *cfg.Node, in typestate.Store) {
 // instructions are checked.
 func (a *annotator) visitCall(node *cfg.Node) {
 	res := a.res
-	site := siteByCallNode(res.G, node.ID)
+	site := node.Site
 	if site == nil || site.TrustedName == "" {
 		return
 	}
@@ -182,7 +184,7 @@ func (a *annotator) visitCall(node *cfg.Node) {
 	}
 	// The precondition becomes a global safety condition after the
 	// delay slot.
-	pre := a.renameRegs(tf.Pre, depth)
+	pre := a.rm.RenameToDepth(tf.Pre, depth)
 	if _, isTrue := pre.(expr.TrueF); !isTrue {
 		a.condAt(site.DelayNode, CodePrecond, "precondition of "+tf.Name, pre, expr.T(), true)
 	}
@@ -196,13 +198,9 @@ func (a *annotator) condAt(nodeID int, code, desc string, f, facts expr.Formula,
 	a.out.Conds = append(a.out.Conds, gc)
 }
 
-func siteByCallNode(g *cfg.Graph, id int) *cfg.CallSite {
-	for _, s := range g.Sites {
-		if s.CallNode == id {
-			return s
-		}
-	}
-	return nil
+// onlyNull reports whether a pointer typestate's only referent is null.
+func onlyNull(ts typestate.Typestate) bool {
+	return ts.State.Kind == typestate.StatePointsTo && ts.State.MayNull && len(ts.State.Set) == 0
 }
 
 // argTypeOK checks an actual argument typestate against the declared
@@ -224,21 +222,4 @@ func argTypeOK(ts typestate.Typestate, as policy.ArgSpec) bool {
 		return true
 	}
 	return true
-}
-
-// renameRegs rewrites entry-window register variables in a policy
-// formula to the given window depth.
-func (a *annotator) renameRegs(f expr.Formula, depth int) expr.Formula {
-	if depth == 0 {
-		return f
-	}
-	sub := map[expr.Var]expr.LinExpr{}
-	for _, v := range expr.FreeVarsOf(f) {
-		if len(v) >= 2 && v[0] == '%' {
-			if r, ok := a.rm.Parse(string(v)); ok && a.rm.Windowed(r) {
-				sub[v] = expr.V(a.rm.Var(r, depth))
-			}
-		}
-	}
-	return expr.SubstAll(f, sub)
 }

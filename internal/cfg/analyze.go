@@ -291,7 +291,7 @@ func (g *Graph) BranchCount() int {
 		if node.Replica {
 			continue
 		}
-		if br, ok := node.Insn.Branch(); ok && br.Cond != rtl.CondAlways {
+		if br, ok := node.Shape.Ctl.(rtl.Branch); ok && br.Cond != rtl.CondAlways {
 			n++
 		}
 	}

@@ -67,10 +67,13 @@ type Node struct {
 	ID    int
 	Insn  isa.Insn
 	Index int // original instruction index in the program
-	// RTL is the instruction's lifted effect sequence (shared between a
-	// primary node and its delay-slot replicas). All analyses consume
-	// the semantics through this field, never from Insn directly.
-	RTL []rtl.Effect
+	// Shape is the instruction's lifted effect sequence taken apart by
+	// role, computed once per instruction and shared between a primary
+	// node and its delay-slot replicas. All analyses read the semantics
+	// through it, not by scanning Insn.RTL.
+	Shape *rtl.Shape
+	// Site is the call site of a call node (nil on every other node).
+	Site *CallSite
 	// Replica marks a delay-slot copy placed on a taken path.
 	Replica bool
 	// Proc is the procedure this node belongs to.
@@ -256,11 +259,17 @@ func construct(prog *isa.Program, opts Options) (*Graph, error) {
 		}
 	}
 
-	// The front-end lifts each instruction once; primaries and replicas
-	// share the canonical effect sequence.
-	for idx := 0; idx < n; idx++ {
-		if prog.Insns[idx].RTL == nil {
-			return nil, fmt.Errorf("cfg: instruction %d has no RTL lifting (%s)", idx, prog.Insns[idx].Text)
+	// The front-end lifts each instruction once, and its effects are
+	// taken apart by role once here; primaries and replicas share the
+	// shape.
+	shapes := make([]rtl.Shape, n)
+	for idx, insn := range prog.Insns {
+		if insn.RTL == nil {
+			return nil, fmt.Errorf("cfg: instruction %d has no RTL lifting (%s)", idx, insn.Text)
+		}
+		var ok bool
+		if shapes[idx], ok = rtl.ShapeOf(insn.RTL); !ok {
+			return nil, fmt.Errorf("cfg: instruction %d lifts two effects of one role (%s)", idx, insn.Text)
 		}
 	}
 
@@ -271,7 +280,7 @@ func construct(prog *isa.Program, opts Options) (*Graph, error) {
 			ID:          len(g.Nodes),
 			Insn:        prog.Insns[idx],
 			Index:       idx,
-			RTL:         prog.Insns[idx].RTL,
+			Shape:       &shapes[idx],
 			Proc:        procOfIndex[idx],
 			BranchOwner: -1,
 		}
@@ -284,7 +293,7 @@ func construct(prog *isa.Program, opts Options) (*Graph, error) {
 			ID:          len(g.Nodes),
 			Insn:        prog.Insns[idx],
 			Index:       idx,
-			RTL:         prog.Insns[idx].RTL,
+			Shape:       &shapes[idx],
 			Replica:     true,
 			Proc:        procOfIndex[idx],
 			BranchOwner: owner,
@@ -304,38 +313,28 @@ func construct(prog *isa.Program, opts Options) (*Graph, error) {
 		procEntryIdx[s.lo] = pi
 	}
 	// A call leaving the program names its target by the least label
-	// at the target's index, from one table built in one pass.
-	outside := map[int]string{}
-	for name, idx := range prog.Symbols {
-		if least, ok := outside[idx]; (idx < 0 || idx >= n) && (!ok || name < least) {
-			outside[idx] = name
-		}
-	}
+	// at the target's index.
+	labels := prog.Labels()
 
 	// A control-transfer instruction carries a Branch, Call, or Jump
 	// effect. On delay-slot architectures the following instruction is
 	// its delay slot, which may be neither a branch target nor itself a
 	// control transfer; collect them for validation.
-	isCTI := func(i isa.Insn) bool {
-		_, b := i.Branch()
-		_, c := i.Call()
-		_, j := i.Jump()
-		return b || c || j
-	}
 	delaySlot := make([]bool, n)
 	branchTarget := make([]bool, n)
-	for idx, insn := range prog.Insns {
+	for idx := range shapes {
 		faults.Fire(faults.Lift)
-		if delaySlots && isCTI(insn) {
+		ctl := shapes[idx].Ctl
+		if delaySlots && ctl != nil {
 			if idx+1 >= n {
 				return nil, fmt.Errorf("cfg: control transfer at %d has no delay slot", idx)
 			}
-			if isCTI(prog.Insns[idx+1]) {
+			if shapes[idx+1].Ctl != nil {
 				return nil, fmt.Errorf("cfg: control transfer in delay slot at %d", idx+1)
 			}
 			delaySlot[idx+1] = true
 		}
-		if br, ok := insn.Branch(); ok {
+		if br, ok := ctl.(rtl.Branch); ok {
 			tgt := idx + int(br.Disp)
 			if tgt < 0 || tgt >= n {
 				return nil, fmt.Errorf("cfg: branch at %d targets %d, out of range", idx, tgt)
@@ -351,13 +350,10 @@ func construct(prog *isa.Program, opts Options) (*Graph, error) {
 
 	// Wire edges.
 	for idx := 0; idx < n; idx++ {
-		insn := prog.Insns[idx]
 		id := primary[idx]
-		br, isBr := insn.Branch()
-		call, isCall := insn.Call()
-		_, isJump := insn.Jump()
-		switch {
-		case isBr:
+		switch ctl := shapes[idx].Ctl.(type) {
+		case rtl.Branch:
+			br := ctl
 			tgt := idx + int(br.Disp)
 			if !delaySlots {
 				// No delay slot: a conditional branch is a plain two-way
@@ -421,9 +417,10 @@ func construct(prog *isa.Program, opts Options) (*Graph, error) {
 				}
 			}
 
-		case isCall:
-			tgt := idx + int(call.Disp)
+		case rtl.Call:
+			tgt := idx + int(ctl.Disp)
 			site := &CallSite{ID: len(g.Sites), CallNode: id, DelayNode: id, Callee: -1}
+			g.Nodes[id].Site = site
 			retIdx := idx + 1
 			if delaySlots {
 				slot := idx + 1
@@ -440,7 +437,7 @@ func construct(prog *isa.Program, opts Options) (*Graph, error) {
 			}
 			if site.Callee == -1 {
 				// Call leaving the program: resolve by label name.
-				name := outside[tgt]
+				name := labels[tgt]
 				if name == "" || (trusted != nil && !trusted[name]) {
 					return nil, fmt.Errorf("cfg: call at %d targets unknown/untrusted %q", idx, name)
 				}
@@ -463,8 +460,8 @@ func construct(prog *isa.Program, opts Options) (*Graph, error) {
 				addEdge(site.DelayNode, site.Return, EdgeSummary, site.ID)
 			}
 
-		case isJump:
-			if !insn.Ret {
+		case rtl.Jump:
+			if !prog.Insns[idx].Ret {
 				return nil, fmt.Errorf("cfg: indirect jump at %d is not supported (only returns)", idx)
 			}
 			retNode := id
@@ -582,7 +579,7 @@ func (g *Graph) computeDepths() error {
 		id := work[len(work)-1]
 		work = work[:len(work)-1]
 		d := depth[id]
-		out := d + g.Nodes[id].Insn.WindowDelta()
+		out := d + g.Nodes[id].Shape.Win
 		if out < 0 {
 			return fmt.Errorf("cfg: restore at node %d underflows the register window", id)
 		}

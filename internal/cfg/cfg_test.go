@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mcsafe/internal/isa"
+	"mcsafe/internal/rtl"
 	"mcsafe/internal/sparc"
 )
 
@@ -64,7 +65,7 @@ func TestFig1BranchEdges(t *testing.T) {
 	g := buildFig1(t)
 	// Node 3 is the bge: one taken edge to a replica, one fall edge.
 	bge := g.Nodes[3]
-	if _, ok := bge.Insn.Branch(); !ok {
+	if _, ok := bge.Shape.Ctl.(rtl.Branch); !ok {
 		t.Fatalf("node 3 is %v", bge.Insn)
 	}
 	var taken, fall int

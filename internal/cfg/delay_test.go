@@ -1,7 +1,6 @@
 package cfg
 
 import (
-	"reflect"
 	"testing"
 
 	"mcsafe/internal/isa"
@@ -223,11 +222,11 @@ done:
 	if len(slot.Succs) != 1 || g.Nodes[slot.Succs[0].To].Index != 3 {
 		t.Fatalf("slot successors = %+v, want fall to instruction 3", slot.Succs)
 	}
-	// Replica and primary carry the same lifted semantics: the RTL
-	// slice is shared, not re-lifted, so the two nodes can never
+	// Replica and primary carry the same lifted semantics: the shape is
+	// shared, not taken apart again, so the two nodes can never
 	// disagree about what the slot instruction does.
-	if !reflect.DeepEqual(rep.RTL, slot.RTL) {
-		t.Errorf("replica RTL %v differs from primary RTL %v", rep.RTL, slot.RTL)
+	if rep.Shape != slot.Shape {
+		t.Errorf("replica shape %+v is not the primary's %+v", rep.Shape, slot.Shape)
 	}
 	if rep.BranchOwner != br.ID || slot.BranchOwner != br.ID {
 		t.Errorf("BranchOwner: replica=%d slot=%d, want both %d",

@@ -333,7 +333,7 @@ func CheckContext(ctx context.Context, prog *isa.Program, spec *policy.Spec, opt
 	rtlEffects := 0
 	for _, nd := range g.Nodes {
 		if !nd.Replica {
-			rtlEffects += len(nd.RTL)
+			rtlEffects += len(nd.Insn.RTL)
 		}
 	}
 	w.Add("solver_valid_queries", int64(prover.Stats.ValidQueries))

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"mcsafe/internal/rtl"
 )
 
 // DefaultBase is the virtual address of the first instruction when the
@@ -172,26 +174,23 @@ func FromWords(arch Arch, words []uint32, base uint32, symbols map[string]int, d
 // procedure is left out, or, when mint is set (bare words), named
 // proc_<index> and added to Symbols.
 func (p *Program) nameProcs(mint bool) {
-	names := map[int]string{p.Entry: ""}
+	entries := map[int]bool{p.Entry: true}
 	for idx, insn := range p.Insns {
-		if c, ok := insn.Call(); ok {
+		sh, _ := rtl.ShapeOf(insn.RTL)
+		if c, ok := sh.Ctl.(rtl.Call); ok {
 			if tgt := idx + int(c.Disp); tgt >= 0 && tgt < len(p.Insns) {
-				names[tgt] = ""
+				entries[tgt] = true
 			}
 		}
 	}
-	for name, idx := range p.Symbols {
-		if least, ok := names[idx]; ok && (least == "" || name < least) {
-			names[idx] = name
-		}
-	}
-	idxs := make([]int, 0, len(names))
-	for idx := range names {
+	idxs := make([]int, 0, len(entries))
+	for idx := range entries {
 		idxs = append(idxs, idx)
 	}
 	sort.Ints(idxs)
+	labels := p.Labels()
 	for _, idx := range idxs {
-		name := names[idx]
+		name := labels[idx]
 		if name == "" {
 			if !mint {
 				continue

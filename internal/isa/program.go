@@ -27,50 +27,6 @@ type Insn struct {
 // String renders the instruction's disassembly.
 func (i Insn) String() string { return i.Text }
 
-// Branch returns the instruction's branch effect, if any.
-func (i Insn) Branch() (rtl.Branch, bool) {
-	for _, eff := range i.RTL {
-		if b, ok := eff.(rtl.Branch); ok {
-			return b, true
-		}
-	}
-	return rtl.Branch{}, false
-}
-
-// Call returns the instruction's call effect, if any.
-func (i Insn) Call() (rtl.Call, bool) {
-	for _, eff := range i.RTL {
-		if c, ok := eff.(rtl.Call); ok {
-			return c, true
-		}
-	}
-	return rtl.Call{}, false
-}
-
-// Jump returns the instruction's indirect-jump effect, if any.
-func (i Insn) Jump() (rtl.Jump, bool) {
-	for _, eff := range i.RTL {
-		if j, ok := eff.(rtl.Jump); ok {
-			return j, true
-		}
-	}
-	return rtl.Jump{}, false
-}
-
-// WindowDelta is +1 for a window-save instruction, -1 for a
-// window-restore, 0 otherwise.
-func (i Insn) WindowDelta() int {
-	for _, eff := range i.RTL {
-		switch eff.(type) {
-		case rtl.SaveWindow:
-			return 1
-		case rtl.RestoreWindow:
-			return -1
-		}
-	}
-	return 0
-}
-
 // Program is an assembled (or externally supplied) machine-code program
 // in ISA-neutral form: the raw words, the front-end's decoded+lifted
 // view, and the side tables a loader would provide.
@@ -119,45 +75,47 @@ func (p *Program) ProcEntry(name string) (int, bool) {
 	return idx, ok
 }
 
-// LabelAt returns a label naming instruction idx, preferring the
-// lexically least; it returns "" if the instruction is unlabeled.
-func (p *Program) LabelAt(idx int) string {
-	best := ""
-	for name, at := range p.Symbols {
-		if at != idx {
-			continue
-		}
-		if best == "" || name < best {
-			best = name
+// Labels returns the least label at every index a symbol names, in one
+// pass over the symbol table. It is the one rule that names procedures,
+// extern call targets, host calls and disassembly lines.
+func (p *Program) Labels() map[int]string {
+	least := make(map[int]string, len(p.Symbols))
+	for name, idx := range p.Symbols {
+		if cur, ok := least[idx]; !ok || name < cur {
+			least[idx] = name
 		}
 	}
-	return best
+	return least
 }
 
 // Disassemble renders the program, one instruction per line, with
 // resolved branch targets shown as absolute indices.
 func (p *Program) Disassemble() string {
-	// The least label at each index, as LabelAt would give, in one pass.
-	labels := make([]string, len(p.Insns))
-	for name, at := range p.Symbols {
-		if at >= 0 && at < len(labels) && (labels[at] == "" || name < labels[at]) {
-			labels[at] = name
-		}
-	}
+	labels := p.Labels()
 	var b strings.Builder
 	for idx, insn := range p.Insns {
 		if lbl := labels[idx]; lbl != "" {
 			fmt.Fprintf(&b, "%s:\n", lbl)
 		}
 		text := insn.Text
-		if br, ok := insn.Branch(); ok {
-			text = strings.Replace(text, fmt.Sprintf(".%+d", br.Disp),
-				fmt.Sprintf("@%d", idx+int(br.Disp)), 1)
-		} else if c, ok := insn.Call(); ok {
-			text = strings.Replace(text, fmt.Sprintf(".%+d", c.Disp),
-				fmt.Sprintf("@%d", idx+int(c.Disp)), 1)
+		if disp, ok := relDisp(insn); ok {
+			text = strings.Replace(text, fmt.Sprintf(".%+d", disp),
+				fmt.Sprintf("@%d", idx+int(disp)), 1)
 		}
 		fmt.Fprintf(&b, "%4d: %08x  %s\n", idx, p.Words[idx], text)
 	}
 	return b.String()
+}
+
+// relDisp is the word displacement of an instruction's pc-relative
+// control transfer: a branch or a call.
+func relDisp(insn Insn) (int32, bool) {
+	sh, _ := rtl.ShapeOf(insn.RTL)
+	switch c := sh.Ctl.(type) {
+	case rtl.Branch:
+		return c.Disp, true
+	case rtl.Call:
+		return c.Disp, true
+	}
+	return 0, false
 }

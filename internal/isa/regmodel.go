@@ -101,3 +101,21 @@ func (m *RegModel) Var(r rtl.Reg, depth int) expr.Var {
 func (m *RegModel) Loc(r rtl.Reg, depth int) string {
 	return string(m.Var(r, depth))
 }
+
+// RenameToDepth rewrites the entry-window register variables of a
+// policy formula ("%o0") to their variables at a window depth
+// ("w2.%o0"); unwindowed registers and other variables are kept.
+func (m *RegModel) RenameToDepth(f expr.Formula, depth int) expr.Formula {
+	if depth == 0 {
+		return f
+	}
+	sub := map[expr.Var]expr.LinExpr{}
+	for _, v := range expr.FreeVarsOf(f) {
+		if len(v) >= 2 && v[0] == '%' {
+			if r, ok := m.Parse(string(v)); ok && m.Windowed(r) {
+				sub[v] = expr.V(m.Var(r, depth))
+			}
+		}
+	}
+	return expr.SubstAll(f, sub)
+}

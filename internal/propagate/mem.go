@@ -76,24 +76,21 @@ func (r *Result) frameSlotCovering(node *cfg.Node, base rtl.Reg, off, size int) 
 func (r *Result) transferMem(node *cfg.Node, in typestate.Store, report func(int, string, string, ...interface{})) typestate.Store {
 	d := node.Depth
 
-	// Pull the memory effect out of the RTL sequence.
 	var addr rtl.Expr
 	var size int
 	var isStore, signed bool
 	var rd rtl.Reg
-	for _, eff := range node.RTL {
-		switch x := eff.(type) {
-		case rtl.Unsupported:
-			report(node.ID, x.Code, "%s", x.Msg)
-			return r.withReg(in, x.Dst, d, typestate.BottomTS)
-		case rtl.Load:
-			addr, size, signed = x.Addr, x.Size, x.Signed
-			rd = x.Dst
-		case rtl.Store:
-			addr, size, isStore = x.Addr, x.Size, true
-			if src, ok := x.Src.(rtl.RegX); ok {
-				rd = src.R
-			}
+	switch x := node.Shape.Mem.(type) {
+	case rtl.Unsupported:
+		report(node.ID, x.Code, "%s", x.Msg)
+		return r.withReg(in, x.Dst, d, typestate.BottomTS)
+	case rtl.Load:
+		addr, size, signed = x.Addr, x.Size, x.Signed
+		rd = x.Dst
+	case rtl.Store:
+		addr, size, isStore = x.Addr, x.Size, true
+		if src, ok := x.Src.(rtl.RegX); ok {
+			rd = src.R
 		}
 	}
 	if isStore {
@@ -150,7 +147,7 @@ func (r *Result) transferMem(node *cfg.Node, in typestate.Store, report func(int
 				acc.Bound = types.ConstBound(int64(slot.Count))
 			}
 			addTarget(slot.Name)
-			return r.finishMem(node, in, acc, isStore, rd, size, signed, report)
+			return r.finishMem(node, in, acc, isStore, rd, size, signed)
 		}
 	}
 
@@ -220,17 +217,18 @@ func (r *Result) transferMem(node *cfg.Node, in typestate.Store, report func(int
 		report(node.ID, "policy", "memory access through non-pointer %s of type %v", r.rm.Name(base), a.Type)
 	}
 
-	return r.finishMem(node, in, acc, isStore, rd, size, signed, report)
+	return r.finishMem(node, in, acc, isStore, rd, size, signed)
 }
 
-// finishMem applies the load/store effect once the target set F is known.
-func (r *Result) finishMem(node *cfg.Node, in typestate.Store, acc *MemAccess, isStore bool, rd rtl.Reg, size int, signed bool, report func(int, string, string, ...interface{})) typestate.Store {
+// finishMem applies the load/store effect once the target set F is
+// known. An empty F is annotation's to report (its local check on the
+// access); here it only leaves a loaded register unknown.
+func (r *Result) finishMem(node *cfg.Node, in typestate.Store, acc *MemAccess, isStore bool, rd rtl.Reg, size int, signed bool) typestate.Store {
 	d := node.Depth
 	if acc.MinAlign == 1<<30 {
 		acc.MinAlign = 1
 	}
 	if len(acc.Targets) == 0 {
-		report(node.ID, "policy", "memory access resolves to no abstract location")
 		if !isStore {
 			return r.withReg(in, rd, d, typestate.BottomTS)
 		}

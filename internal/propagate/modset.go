@@ -22,8 +22,8 @@ type modSet struct {
 
 // computeModSets builds the per-procedure modification summaries,
 // processing callees before callers (the call graph is acyclic). The
-// written locations of each node are read off its RTL effects; regSlot
-// numbers a register at a window depth.
+// written locations of each node are read off its effect shape and call
+// site; regSlot numbers a register at a window depth.
 func computeModSets(g *cfg.Graph, regSlot func(rtl.Reg, int) int) []*modSet {
 	sets := make([]*modSet, len(g.Procs))
 	conv := g.Prog.Arch.Conv()
@@ -67,57 +67,49 @@ func computeModSets(g *cfg.Graph, regSlot func(rtl.Reg, int) int) []*modSet {
 					regs[regSlot(r, depth)] = true
 				}
 			}
-			for _, eff := range node.RTL {
-				switch e := eff.(type) {
-				case rtl.SaveWindow:
-					// Entering a window makes every register of the new
-					// window writable.
-					win := conv.Window
-					for k := 0; k < win.Size; k++ {
-						addReg(win.Out+rtl.Reg(k), d+1)
-						addReg(win.Local+rtl.Reg(k), d+1)
-						addReg(win.In+rtl.Reg(k), d+1)
-					}
-				case rtl.Assign:
-					switch {
-					case e.Win > 0:
-						// Subsumed by the SaveWindow sweep above.
-					case e.Win < 0:
-						addReg(e.Dst, d-1)
-					default:
-						addReg(e.Dst, d)
-					}
-				case rtl.Load:
-					addReg(e.Dst, d)
-				case rtl.Store:
+			sh := node.Shape
+			if sh.Win > 0 {
+				// Entering a window makes every register of the new
+				// window writable.
+				win := conv.Window
+				for k := 0; k < win.Size; k++ {
+					addReg(win.Out+rtl.Reg(k), d+1)
+					addReg(win.Local+rtl.Reg(k), d+1)
+					addReg(win.In+rtl.Reg(k), d+1)
+				}
+			}
+			if a := sh.Assign(); a != nil && a.Win <= 0 {
+				// A Win=+1 write is subsumed by the sweep above.
+				addReg(a.Dst, d+a.Win)
+			}
+			switch m := sh.Mem.(type) {
+			case rtl.Load:
+				addReg(m.Dst, d)
+			case rtl.Store:
+				ms.mem = true
+			case rtl.Unsupported:
+				if m.Store {
 					ms.mem = true
-				case rtl.Unsupported:
-					if e.Store {
-						ms.mem = true
-					} else {
-						addReg(e.Dst, d)
-					}
-				case rtl.Call:
-					site := siteByCall(g, id)
-					if site == nil {
-						continue
-					}
-					if site.Callee >= 0 {
-						callee := sets[site.Callee]
-						if callee != nil {
-							for _, i := range callee.regs {
-								regs[i] = true
-							}
-							ms.mem = ms.mem || callee.mem
+				} else {
+					addReg(m.Dst, d)
+				}
+			}
+			if site := node.Site; site != nil {
+				if site.Callee >= 0 {
+					callee := sets[site.Callee]
+					if callee != nil {
+						for _, i := range callee.regs {
+							regs[i] = true
 						}
-					} else {
-						// Trusted call: caller-saved registers plus any
-						// host memory.
-						for _, r := range conv.CallClobbered {
-							addReg(r, d)
-						}
-						ms.mem = true
+						ms.mem = ms.mem || callee.mem
 					}
+				} else {
+					// Trusted call: caller-saved registers plus any
+					// host memory.
+					for _, r := range conv.CallClobbered {
+						addReg(r, d)
+					}
+					ms.mem = true
 				}
 			}
 		}
@@ -127,13 +119,4 @@ func computeModSets(g *cfg.Graph, regSlot func(rtl.Reg, int) int) []*modSet {
 		sort.Ints(ms.regs)
 	}
 	return sets
-}
-
-func siteByCall(g *cfg.Graph, id int) *cfg.CallSite {
-	for _, s := range g.Sites {
-		if s.CallNode == id {
-			return s
-		}
-	}
-	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mcsafe/internal/cfg"
-	"mcsafe/internal/rtl"
 	"mcsafe/internal/sparc"
 	"mcsafe/internal/types"
 	"mcsafe/internal/typestate"
@@ -18,13 +17,11 @@ import (
 // instruction (its Assign effect), as the abstract store keys it.
 func dstLoc(t *testing.T, n *cfg.Node) string {
 	t.Helper()
-	for _, eff := range n.Insn.RTL {
-		if a, ok := eff.(rtl.Assign); ok {
-			return sparc.Arch.Regs().Name(a.Dst)
-		}
+	a := n.Shape.Assign()
+	if a == nil {
+		t.Fatalf("%s: no assign effect", n.Insn.Text)
 	}
-	t.Fatalf("%s: no assign effect", n.Insn.Text)
-	return ""
+	return sparc.Arch.Regs().Name(a.Dst)
 }
 
 const scalarSpec = `

@@ -433,37 +433,17 @@ func (r *Result) withReg(in typestate.Store, reg rtl.Reg, depth int, ts typestat
 }
 
 // transfer is the abstract operational semantics R: M -> M of Section
-// 4.2, driven by the instruction's lifted RTL effects: control and
-// window effects classify the occurrence, memory effects resolve
-// through transferMem, and plain assignments go through the overload
+// 4.2, driven by the instruction's effect shape: control and window
+// effects classify the occurrence, memory effects resolve through
+// transferMem, and plain assignments go through the overload
 // resolution of Table 1. A node that changes no location returns in
 // itself; one that does writes into a copy of it.
 func (r *Result) transfer(node *cfg.Node, in typestate.Store, report func(int, string, string, ...interface{})) typestate.Store {
 	d := node.Depth
+	assign := node.Shape.Assign()
+	hasCC := node.Shape.CC() != nil
 
-	// Shape of the effect sequence.
-	var assign *rtl.Assign
-	var ctl rtl.Effect
-	var win rtl.Effect
-	hasCC := false
-	hasMem := false
-	for _, eff := range node.RTL {
-		switch x := eff.(type) {
-		case rtl.Assign:
-			a := x
-			assign = &a
-		case rtl.SetCC:
-			hasCC = true
-		case rtl.Load, rtl.Store, rtl.Unsupported:
-			hasMem = true
-		case rtl.Branch, rtl.Call, rtl.Jump:
-			ctl = eff
-		case rtl.SaveWindow, rtl.RestoreWindow:
-			win = eff
-		}
-	}
-
-	switch ctl.(type) {
+	switch ctl := node.Shape.Ctl.(type) {
 	case rtl.Branch:
 		r.Kind[node.ID] = KindBranch
 		return in
@@ -485,8 +465,8 @@ func (r *Result) transfer(node *cfg.Node, in typestate.Store, report func(int, s
 		return in
 	}
 
-	switch win.(type) {
-	case rtl.SaveWindow:
+	switch node.Shape.Win {
+	case +1:
 		r.Kind[node.ID] = KindSave
 		// New window: the in registers receive the old outs; locals and
 		// outs become undefined; the new %sp is computed from the old one.
@@ -508,7 +488,7 @@ func (r *Result) transfer(node *cfg.Node, in typestate.Store, report func(int, s
 		r.setReg(assign.Dst, d+1, &s, newSP)
 		return s
 
-	case rtl.RestoreWindow:
+	case -1:
 		r.Kind[node.ID] = KindRestore
 		var val typestate.Typestate
 		if bin, ok := assign.Src.(rtl.Bin); ok {
@@ -517,7 +497,7 @@ func (r *Result) transfer(node *cfg.Node, in typestate.Store, report func(int, s
 		return r.withReg(in, assign.Dst, d-1, val)
 	}
 
-	if hasMem {
+	if node.Shape.Mem != nil {
 		return r.transferMem(node, in, report)
 	}
 	if assign == nil {

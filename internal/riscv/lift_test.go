@@ -35,12 +35,16 @@ func repInsn(op Op) Insn {
 // exactly one lifter rule — Lift returns a non-empty effect sequence
 // for all of them, and nil only for OpInvalid. The same guard as the
 // SPARC front-end's TestLiftExhaustive: a new opcode without a lifting
-// rule fails here, not at analysis time.
+// rule fails here, not at analysis time. Each sequence also carries at
+// most one effect per role, the contract rtl.Shape relies on.
 func TestLiftRV32IExhaustive(t *testing.T) {
 	for op := OpInvalid + 1; op < opMax; op++ {
 		effs := Lift(repInsn(op))
 		if len(effs) == 0 {
 			t.Errorf("op %v: no lifter rule (Lift returned %v)", op, effs)
+		}
+		if _, ok := rtl.ShapeOf(effs); !ok {
+			t.Errorf("op %v: two effects share a role in %v", op, effs)
 		}
 	}
 	if Lift(Insn{Op: OpInvalid}) != nil {
@@ -48,9 +52,9 @@ func TestLiftRV32IExhaustive(t *testing.T) {
 	}
 }
 
-// TestLiftDecodedWords: any word the decoder accepts must lift. Random
-// words double as a probe that no decodable encoding falls through the
-// lifter.
+// TestLiftDecodedWords: any word the decoder accepts must lift, to at
+// most one effect per role. Random words double as a probe that no
+// decodable encoding falls through the lifter.
 func TestLiftDecodedWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	decoded := 0
@@ -61,8 +65,12 @@ func TestLiftDecodedWords(t *testing.T) {
 			continue
 		}
 		decoded++
-		if len(Lift(i)) == 0 {
+		effs := Lift(i)
+		if len(effs) == 0 {
 			t.Fatalf("decodable word 0x%08x (%v) does not lift", w, i)
+		}
+		if _, ok := rtl.ShapeOf(effs); !ok {
+			t.Fatalf("word 0x%08x: two effects share a role in %v", w, effs)
 		}
 	}
 	if decoded == 0 {

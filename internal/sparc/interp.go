@@ -44,8 +44,10 @@ type Machine struct {
 	// Steps executed (guard against runaway loops in tests).
 	Steps int
 
-	// pendingHost carries an external call across its delay slot.
+	// pendingHost carries an external call across its delay slot;
+	// labels names its target, the least label at each index.
 	pendingHost string
+	labels      map[int]string
 
 	// OnMem, when set, observes every data-memory access (differential
 	// tests use it to assert memory safety of checker-approved code).
@@ -63,6 +65,7 @@ type Machine struct {
 func NewMachine(p *isa.Program) *Machine {
 	m := &Machine{
 		prog:    p,
+		labels:  p.Labels(),
 		windows: make([][16]uint32, 32),
 		cwp:     16, // middle of the window stack
 		Mem:     make(map[uint32]byte),
@@ -275,7 +278,7 @@ func (m *Machine) Step() error {
 			if tgt >= len(m.prog.Insns) || tgt < 0 {
 				// External (trusted host) call: the delay slot executes,
 				// the host function runs, and control resumes after it.
-				pendingHost = m.prog.LabelAt(tgt)
+				pendingHost = m.labels[tgt]
 				npc = m.pc + 2
 			} else {
 				npc = tgt

@@ -159,7 +159,7 @@ func (m *legacyMachine) step() error {
 		m.set(O7, m.prog.AddrOf(m.pc))
 		tgt := m.pc + int(i.Disp)
 		if tgt >= len(m.prog.Insns) || tgt < 0 {
-			m.pendingHost = m.prog.LabelAt(tgt)
+			m.pendingHost = m.prog.Labels()[tgt]
 			npc = m.pc + 2
 		} else {
 			npc = tgt

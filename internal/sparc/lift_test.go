@@ -25,7 +25,8 @@ func repInsn(op Op) Insn {
 // one lifter rule — Lift returns a non-empty effect sequence for all of
 // them, and nil only for OpInvalid. This is the guard that keeps the
 // decoder and the shared semantics in sync: adding an opcode without a
-// lifting rule fails here, not at analysis time.
+// lifting rule fails here, not at analysis time. Each sequence also
+// carries at most one effect per role, the contract rtl.Shape relies on.
 func TestLiftExhaustive(t *testing.T) {
 	for op := OpInvalid + 1; op <= OpCall; op++ {
 		i := repInsn(op)
@@ -33,12 +34,19 @@ func TestLiftExhaustive(t *testing.T) {
 		if len(effs) == 0 {
 			t.Errorf("op %v: no lifter rule (Lift returned %v)", op, effs)
 		}
+		if _, ok := rtl.ShapeOf(effs); !ok {
+			t.Errorf("op %v: two effects share a role in %v", op, effs)
+		}
 		// Both addressing modes must lift for format-3 instructions.
 		if op != OpBranch && op != OpCall && op != OpSethi {
 			imm := i
 			imm.Imm, imm.SImm = true, 8
-			if len(Lift(imm)) == 0 {
+			effs := Lift(imm)
+			if len(effs) == 0 {
 				t.Errorf("op %v (immediate form): no lifter rule", op)
+			}
+			if _, ok := rtl.ShapeOf(effs); !ok {
+				t.Errorf("op %v (immediate form): two effects share a role in %v", op, effs)
 			}
 		}
 	}
@@ -47,9 +55,9 @@ func TestLiftExhaustive(t *testing.T) {
 	}
 }
 
-// TestLiftDecodedWords: any word the decoder accepts must lift. Random
-// words double as a probe that no decodable encoding falls through the
-// lifter.
+// TestLiftDecodedWords: any word the decoder accepts must lift, to at
+// most one effect per role. Random words double as a probe that no
+// decodable encoding falls through the lifter.
 func TestLiftDecodedWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	decoded := 0
@@ -60,8 +68,12 @@ func TestLiftDecodedWords(t *testing.T) {
 			continue
 		}
 		decoded++
-		if len(Lift(i)) == 0 {
+		effs := Lift(i)
+		if len(effs) == 0 {
 			t.Fatalf("word 0x%08x decodes to %+v but does not lift", w, i)
+		}
+		if _, ok := rtl.ShapeOf(effs); !ok {
+			t.Fatalf("word 0x%08x: two effects share a role in %v", w, effs)
 		}
 	}
 	if decoded == 0 {

@@ -80,44 +80,13 @@ func (e *Engine) mustLin(x rtl.Expr, depth int) expr.LinExpr {
 // instruction occurrence with respect to a postcondition (Section 5.2.1;
 // loads and stores follow Morris's general axiom of assignment, resolved
 // through the abstract locations computed by typestate propagation). The
-// instruction's semantics come entirely from its lifted RTL effects.
+// instruction's semantics come entirely from its effect shape.
 func (e *Engine) wlpInsn(id int, f expr.Formula) expr.Formula {
 	node := e.g.Nodes[id]
 	d := node.Depth
+	assign, cc := node.Shape.Assign(), node.Shape.CC()
 
-	// Shape of the effect sequence.
-	var assign *rtl.Assign
-	var cc *rtl.SetCC
-	var ctl rtl.Effect
-	var win rtl.Effect
-	var load *rtl.Load
-	var store *rtl.Store
-	var unsup *rtl.Unsupported
-	for _, eff := range node.RTL {
-		switch x := eff.(type) {
-		case rtl.Assign:
-			a := x
-			assign = &a
-		case rtl.SetCC:
-			c := x
-			cc = &c
-		case rtl.Branch, rtl.Call, rtl.Jump:
-			ctl = eff
-		case rtl.SaveWindow, rtl.RestoreWindow:
-			win = eff
-		case rtl.Load:
-			l := x
-			load = &l
-		case rtl.Store:
-			st := x
-			store = &st
-		case rtl.Unsupported:
-			u := x
-			unsup = &u
-		}
-	}
-
-	switch ctl.(type) {
+	switch node.Shape.Ctl.(type) {
 	case rtl.Branch:
 		// Guards are applied on edges. A fused compare-and-branch (the
 		// non-delay-slot ISAs) carries the SetCC that resolves the icc
@@ -138,8 +107,8 @@ func (e *Engine) wlpInsn(id int, f expr.Formula) expr.Formula {
 		return f
 	}
 
-	switch win.(type) {
-	case rtl.SaveWindow:
+	switch node.Shape.Win {
+	case +1:
 		// New-window variables become functions of the old window:
 		// %i[k]@d+1 = %o[k]@d, the new %sp is computed, and the new
 		// locals/outs are unconstrained.
@@ -167,7 +136,7 @@ func (e *Engine) wlpInsn(id int, f expr.Formula) expr.Formula {
 		}
 		return closeFresh(expr.SubstAll(f, sub), fresh)
 
-	case rtl.RestoreWindow:
+	case -1:
 		rd := assign.Dst
 		if rd == rtl.ZeroReg {
 			return f
@@ -178,19 +147,18 @@ func (e *Engine) wlpInsn(id int, f expr.Formula) expr.Formula {
 		return e.havoc(f, e.rm.Var(rd, d-1), "r")
 	}
 
-	if unsup != nil {
+	switch m := node.Shape.Mem.(type) {
+	case rtl.Unsupported:
 		// An access the checker rejected (e.g. doubleword memory ops):
 		// the destination, if any, is unconstrained.
-		if unsup.Dst == rtl.ZeroReg {
+		if m.Dst == rtl.ZeroReg {
 			return f
 		}
-		return e.havoc(f, e.rm.Var(unsup.Dst, d), "ld")
-	}
-	if load != nil {
-		return e.wlpLoad(id, load.Dst, f)
-	}
-	if store != nil {
-		return e.wlpStore(id, store.Src, f)
+		return e.havoc(f, e.rm.Var(m.Dst, d), "ld")
+	case rtl.Load:
+		return e.wlpLoad(id, m.Dst, f)
+	case rtl.Store:
+		return e.wlpStore(id, m.Src, f)
 	}
 
 	// Arithmetic (including cc-setting and sethi), plus fused
@@ -356,14 +324,8 @@ func (e *Engine) wlpStore(id int, srcExpr rtl.Expr, f expr.Formula) expr.Formula
 // (the sound direction); the evaluation programs use signed comparisons,
 // as gcc emits for int arithmetic.
 func (e *Engine) edgeGuard(node *cfg.Node, edge cfg.Edge) expr.Formula {
-	var br *rtl.Branch
-	for _, eff := range node.RTL {
-		if b, ok := eff.(rtl.Branch); ok {
-			b := b
-			br = &b
-		}
-	}
-	if br == nil {
+	br, ok := node.Shape.Ctl.(rtl.Branch)
+	if !ok {
 		return expr.T()
 	}
 	cond := condFormula(br.Cond)
@@ -431,27 +393,10 @@ func (e *Engine) crossTrusted(site *cfg.CallSite, retCont expr.Formula) expr.For
 	if _, isTrue := tf.Post.(expr.TrueF); !isTrue {
 		// The postcondition speaks about the post-call registers:
 		// rename to the same fresh variables.
-		post := expr.SubstAll(e.renameRegsToDepth(tf.Post, depth), sub)
+		post := expr.SubstAll(e.rm.RenameToDepth(tf.Post, depth), sub)
 		cont = expr.Implies(post, cont)
 	}
 	return closeFresh(cont, fresh)
-}
-
-// renameRegsToDepth rewrites entry-window register variables in a policy
-// formula to a window depth.
-func (e *Engine) renameRegsToDepth(f expr.Formula, depth int) expr.Formula {
-	if depth == 0 {
-		return f
-	}
-	sub := map[expr.Var]expr.LinExpr{}
-	for _, v := range expr.FreeVarsOf(f) {
-		if len(v) >= 2 && v[0] == '%' {
-			if r, ok := e.rm.Parse(string(v)); ok && e.rm.Windowed(r) {
-				sub[v] = expr.V(e.rm.Var(r, depth))
-			}
-		}
-	}
-	return expr.SubstAll(f, sub)
 }
 
 // crossCallee walks through the body of an internal callee as though it
@@ -482,9 +427,10 @@ func (e *Engine) crossCallee(site *cfg.CallSite, retCont expr.Formula) expr.Form
 
 // modifiedVars collects the variables assigned anywhere in a loop body —
 // the targets the generalization heuristic may eliminate. The write set
-// of each occurrence is read off its RTL effects; the order of discovery
-// (condition-code ghosts first, then the effect-specific destinations)
-// is part of the generalization heuristic's search order.
+// of each occurrence is read off its effect shape and call site; the
+// order of discovery (condition-code ghosts first, then the
+// effect-specific destinations) is part of the generalization
+// heuristic's search order.
 func (e *Engine) modifiedVars(l *cfg.Loop) []expr.Var {
 	seen := map[expr.Var]bool{}
 	var out []expr.Var
@@ -494,6 +440,11 @@ func (e *Engine) modifiedVars(l *cfg.Loop) []expr.Var {
 			out = append(out, v)
 		}
 	}
+	addReg := func(r rtl.Reg, depth int) {
+		if r != rtl.ZeroReg {
+			add(e.rm.Var(r, depth))
+		}
+	}
 	ids := make([]int, 0, len(l.Body))
 	for id := range l.Body {
 		ids = append(ids, id)
@@ -501,104 +452,53 @@ func (e *Engine) modifiedVars(l *cfg.Loop) []expr.Var {
 	sort.Ints(ids)
 	for _, id := range ids {
 		node := e.g.Nodes[id]
+		sh := node.Shape
+		assign := sh.Assign()
 		d := node.Depth
-
-		var assign *rtl.Assign
-		var ctl rtl.Effect
-		var win rtl.Effect
-		var load *rtl.Load
-		var unsup *rtl.Unsupported
-		hasCC := false
-		hasStore := false
-		for _, eff := range node.RTL {
-			switch x := eff.(type) {
-			case rtl.Assign:
-				a := x
-				assign = &a
-			case rtl.SetCC:
-				hasCC = true
-			case rtl.Branch, rtl.Call, rtl.Jump:
-				ctl = eff
-			case rtl.SaveWindow, rtl.RestoreWindow:
-				win = eff
-			case rtl.Load:
-				ld := x
-				load = &ld
-			case rtl.Store:
-				hasStore = true
-			case rtl.Unsupported:
-				u := x
-				unsup = &u
-			}
-		}
-
-		if hasCC {
+		if sh.CC() != nil {
 			add(policy.ICCA)
 			add(policy.ICCB)
 		}
-		_, isCall := ctl.(rtl.Call)
-		isSave := false
-		isRestore := false
-		switch win.(type) {
-		case rtl.SaveWindow:
-			isSave = true
-		case rtl.RestoreWindow:
-			isRestore = true
-		}
-
+		_, isCall := sh.Ctl.(rtl.Call)
 		switch {
 		case isCall:
-			if assign != nil && assign.Dst != rtl.ZeroReg {
-				add(e.rm.Var(assign.Dst, d))
+			if assign != nil {
+				addReg(assign.Dst, d)
 			}
-			if site := e.siteByCall(id); site != nil && site.TrustedName != "" {
+			if site := node.Site; site != nil && site.TrustedName != "" {
 				for _, r := range e.conv.CallClobbered {
 					add(e.rm.Var(r, d))
 				}
 				add(policy.ICCA)
 				add(policy.ICCB)
 			}
-		case isSave:
+		case sh.Win > 0:
 			wl := e.conv.Window
 			for _, bank := range []rtl.Reg{wl.Out, wl.Local, wl.In} {
 				for k := 0; k < wl.Size; k++ {
 					add(e.rm.Var(bank+rtl.Reg(k), d+1))
 				}
 			}
-		case isRestore:
-			if assign.Dst != rtl.ZeroReg {
-				add(e.rm.Var(assign.Dst, d-1))
-			}
-		case hasStore:
-			if acc := e.Res.Mem[id]; acc != nil {
-				for _, t := range acc.Targets {
-					add(policy.ValVar(t.Loc))
+		case sh.Win < 0:
+			addReg(assign.Dst, d-1)
+		case sh.Mem != nil:
+			switch m := sh.Mem.(type) {
+			case rtl.Store:
+				if acc := e.Res.Mem[id]; acc != nil {
+					for _, t := range acc.Targets {
+						add(policy.ValVar(t.Loc))
+					}
 				}
+			case rtl.Load:
+				addReg(m.Dst, d)
+			case rtl.Unsupported:
+				addReg(m.Dst, d)
 			}
-		case load != nil:
-			if load.Dst != rtl.ZeroReg {
-				add(e.rm.Var(load.Dst, d))
-			}
-		case unsup != nil:
-			if unsup.Dst != rtl.ZeroReg {
-				add(e.rm.Var(unsup.Dst, d))
-			}
-		case ctl != nil:
+		case sh.Ctl != nil:
 			// Branches and returning jumps write no tracked variable.
-		default:
-			if assign != nil && assign.Dst != rtl.ZeroReg {
-				add(e.rm.Var(assign.Dst, d))
-			}
+		case assign != nil:
+			addReg(assign.Dst, d)
 		}
 	}
 	return out
-}
-
-func (e *Engine) siteByCall(id int) *cfg.CallSite {
-	for _, s := range e.g.Sites {
-		if s.CallNode == id {
-			return s
-		}
-	}
-	return nil
 }

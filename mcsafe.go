@@ -171,28 +171,6 @@ type Result struct {
 // result lifted from a wire record that predates the arch field).
 func (r *Result) Arch() string { return r.arch }
 
-// Options tunes the checker.
-type Options struct {
-	// MaxInductionIterations bounds the induction-iteration chains used
-	// to synthesize loop invariants (the paper finds 3 sufficient).
-	MaxInductionIterations int
-	// DisableGeneralization and DisableDNF turn off the corresponding
-	// induction-iteration enhancements (Section 5.2.1) — exposed for
-	// the ablation benchmarks.
-	DisableGeneralization bool
-	DisableDNF            bool
-	// Parallelism is the worker count for global verification
-	// (Phase 5): 0 means GOMAXPROCS, and 1 proves on the calling
-	// goroutine. The verdict, violations, and their ordering are
-	// identical at every setting.
-	Parallelism int
-	// Budget is the check's resource envelope (wall-clock deadline,
-	// solver step budget, per-condition timeout). The zero Budget
-	// disables governance; exhaustion degrades affected conditions to
-	// conservative CodeResource violations, never acceptances.
-	Budget Budget
-}
-
 // DumpTypestate renders the typestate-propagation results per
 // instruction, in the style of the paper's Figure 6.
 func (r *Result) DumpTypestate() string {

@@ -251,3 +251,28 @@ func TestReturnEdgeTellsMemoryFromRegisters(t *testing.T) {
 		}
 	}
 }
+
+// TestNullOnlyDereferenceReportedOnce: after f stores null through pp,
+// main's `ld [%l0],%l1` (line 9) dereferences a pointer whose only
+// referent is null. The access resolves to no abstract location, which
+// is one violation, charged as a null dereference.
+func TestNullOnlyDereferenceReportedOnce(t *testing.T) {
+	spec, err := ParseSpec(strings.ReplaceAll(returnEdgeSpec, "LOC", "vp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Assemble(returnEdgeAsm, spec, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := New(WithParallelism(1)).Check(context.Background(), prog, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) != 1 {
+		t.Fatalf("violations %v, want exactly one", res.Violations)
+	}
+	if v := res.Violations[0]; v.Line != 9 || v.Phase != "local" || v.Code != CodeNullPtr {
+		t.Errorf("violation %v, want a local %s violation at line 9", v, CodeNullPtr)
+	}
+}
