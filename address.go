@@ -13,7 +13,7 @@ import (
 // verdicts are keyed by it (alongside the program fingerprint and
 // policy hash), so a new checker never serves a predecessor's verdicts.
 // Compare it only for equality.
-const CheckerVersion = "mcsafe-14"
+const CheckerVersion = "mcsafe-15"
 
 // Hash is a stable 256-bit content address (a SHA-256 digest) used to
 // identify programs and policies. Hashes are stable across processes,

@@ -326,13 +326,3 @@ func (g *Graph) ProcAtLabel(label string) (*Proc, bool) {
 	}
 	return nil, false
 }
-
-// SiteByReturn finds the call site whose return point is the given node.
-func (g *Graph) SiteByReturn(id int) *CallSite {
-	for _, s := range g.Sites {
-		if s.Return == id {
-			return s
-		}
-	}
-	return nil
-}

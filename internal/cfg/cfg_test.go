@@ -509,20 +509,3 @@ func TestRestoreUnderflowRejected(t *testing.T) {
 		t.Fatal("window underflow should be rejected")
 	}
 }
-
-func TestSiteByReturn(t *testing.T) {
-	p, err := sparc.Arch.Assemble(twoProcSource, isa.AsmOptions{Entry: "main"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := Build(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.SiteByReturn(g.Sites[0].Return); got != g.Sites[0] {
-		t.Error("SiteByReturn wrong")
-	}
-	if got := g.SiteByReturn(g.Entry); got != nil {
-		t.Error("SiteByReturn on non-return should be nil")
-	}
-}

@@ -346,7 +346,8 @@ func CheckContext(ctx context.Context, prog *isa.Program, spec *policy.Spec, opt
 	w.Add("intern_hits", intern.Hits())
 	w.Add("vcgen_conditions", int64(eng.Stats.Conditions))
 	w.Add("vcgen_proved", int64(eng.Stats.Proved))
-	w.Add("vcgen_query_cache_hits", int64(eng.Stats.CacheHits))
+	w.Add("vcgen_memo_hits", int64(eng.Stats.CacheHits))
+	w.Add("vcgen_memo_lookups", int64(eng.Stats.CacheLookups))
 	w.Add("induction_runs", int64(eng.Stats.InductionRuns))
 	w.Add("induction_iterations", int64(eng.Stats.InductionIters))
 	w.Add("induction_candidates", int64(eng.Stats.InductionCands))

@@ -12,8 +12,8 @@
 //     suffice in practice).
 //
 // The package is decoupled from the verification engine through the
-// Hooks interface: the engine supplies the wlp of the loop body as a
-// function of the back-edge continuation formula.
+// Hooks interface: the engine supplies W(0) and the wlp of the loop body
+// as a function of the back-edge continuation formula.
 package induction
 
 import (
@@ -25,10 +25,10 @@ import (
 
 // Hooks supplies the loop-specific machinery.
 type Hooks struct {
-	// First computes W(0): the back-substitution of the target
-	// condition to the loop entry, with the given formula as the
-	// contribution of the back edges (Figure 7 line 2 uses true).
-	First func(back expr.Formula) expr.Formula
+	// W0 is W(0): the back-substitution of the target condition to the
+	// loop entry, with true as the contribution of the back edges
+	// (Figure 7 line 2).
+	W0 expr.Formula
 	// Next computes wlp(loop-body, back): one full trip around the
 	// loop establishing the given formula at the header again.
 	Next func(back expr.Formula) expr.Formula
@@ -78,7 +78,7 @@ func Synthesize(p *solver.Prover, h Hooks, opts Options) (*Result, bool) {
 	}
 	res := &Result{}
 
-	w0 := expr.Simplify(h.First(expr.T()))
+	w0 := expr.Simplify(h.W0)
 	if _, isTrue := w0.(expr.TrueF); isTrue {
 		res.Invariant = w0
 		res.Chain = []expr.Formula{w0}

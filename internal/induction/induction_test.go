@@ -32,8 +32,8 @@ func TestSec522Trace(t *testing.T) {
 
 	entryChecks := 0
 	hooks := Hooks{
-		First: func(back expr.Formula) expr.Formula { return w0 },
-		Next:  func(back expr.Formula) expr.Formula { return body(back) },
+		W0:   w0,
+		Next: func(back expr.Formula) expr.Formula { return body(back) },
 		OnEntry: func(w expr.Formula) bool {
 			entryChecks++
 			// On entry: %g3 = 0, %o1 = n, n >= 1.
@@ -89,7 +89,7 @@ func TestSec522NeedsGeneralization(t *testing.T) {
 		expr.GeExpr(n, expr.Constant(1)),
 	)
 	hooks := Hooks{
-		First:        func(expr.Formula) expr.Formula { return w0 },
+		W0:           w0,
 		Next:         body,
 		OnEntry:      func(w expr.Formula) bool { return p.Implied(init, w) },
 		ModifiedVars: []expr.Var{g3},
@@ -103,8 +103,8 @@ func TestSec522NeedsGeneralization(t *testing.T) {
 func TestTrivialTrueInvariant(t *testing.T) {
 	p := solver.New()
 	hooks := Hooks{
-		First: func(expr.Formula) expr.Formula { return expr.T() },
-		Next:  func(b expr.Formula) expr.Formula { return b },
+		W0:   expr.T(),
+		Next: func(b expr.Formula) expr.Formula { return b },
 	}
 	res, ok := Synthesize(p, hooks, Options{})
 	if !ok {
@@ -121,7 +121,7 @@ func TestAlreadyInvariant(t *testing.T) {
 	p := solver.New()
 	w0 := expr.GeExpr(expr.V("x"), expr.Constant(0))
 	hooks := Hooks{
-		First:   func(expr.Formula) expr.Formula { return w0 },
+		W0:      w0,
 		Next:    func(b expr.Formula) expr.Formula { return b },
 		OnEntry: func(w expr.Formula) bool { return true },
 	}
@@ -139,7 +139,7 @@ func TestEntryFailureIsFatal(t *testing.T) {
 	p := solver.New()
 	w0 := expr.GeExpr(expr.V("x"), expr.Constant(0))
 	hooks := Hooks{
-		First:   func(expr.Formula) expr.Formula { return w0 },
+		W0:      w0,
 		Next:    func(b expr.Formula) expr.Formula { return b },
 		OnEntry: func(w expr.Formula) bool { return false },
 	}
@@ -154,9 +154,7 @@ func TestIterationBoundRespected(t *testing.T) {
 	p := solver.New()
 	i := 0
 	hooks := Hooks{
-		First: func(expr.Formula) expr.Formula {
-			return expr.GeExpr(expr.V("x"), expr.Constant(0))
-		},
+		W0: expr.GeExpr(expr.V("x"), expr.Constant(0)),
 		Next: func(b expr.Formula) expr.Formula {
 			i++
 			// Fresh unrelated obligation each round.
@@ -179,7 +177,7 @@ func TestDNFDisjunctCandidate(t *testing.T) {
 	w0 := expr.GeExpr(x, expr.Constant(0))
 	step := 0
 	hooks := Hooks{
-		First: func(expr.Formula) expr.Formula { return w0 },
+		W0: w0,
 		Next: func(b expr.Formula) expr.Formula {
 			step++
 			if step == 1 {
@@ -208,7 +206,7 @@ func TestStatsAccumulate(t *testing.T) {
 	g3 := expr.Var("g")
 	w0 := expr.LtExpr(expr.V(g3), expr.V(expr.Var("n")))
 	hooks := Hooks{
-		First: func(expr.Formula) expr.Formula { return w0 },
+		W0: w0,
 		Next: func(b expr.Formula) expr.Formula {
 			return expr.Implies(expr.LtExpr(expr.V(g3).AddConst(1), expr.V(expr.Var("m"))),
 				expr.Subst(b, g3, expr.V(g3).AddConst(1)))

@@ -23,7 +23,7 @@ import (
 // because the manually inlined version replicates the callee functions
 // and the global conditions in the callee functions." At Parallelism 1
 // the effort counters state it exactly (HeapSort: 956 solver queries
-// and 292 induction runs; HeapSort2: 540 and 121); the wall-clock check
+// and 292 induction runs; HeapSort2: 549 and 126); the wall-clock check
 // takes the median of five alternating pairs, so that one slow sample
 // on a shared host does not decide it.
 func TestInterproceduralFasterThanInlined(t *testing.T) {

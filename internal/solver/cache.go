@@ -24,10 +24,10 @@ const cacheShards = 64
 // Keys are 128-bit fingerprints (expr.FP) instead of the canonical
 // strings of earlier versions, so a probe costs one hash walk and no
 // allocation. Because a stale or colliding entry must never flip a
-// verdict, each entry also records the formula (and the caller's salt
-// word) it was stored under, and Get verifies structural equality
-// before reporting a hit: a fingerprint collision degrades to a cache
-// miss, never to a wrong answer.
+// verdict, each entry also records the formula it was stored under, and
+// Get verifies structural equality before reporting a hit: a
+// fingerprint collision degrades to a cache miss, never to a wrong
+// answer.
 //
 // Sharing is sound and deterministic because Prover.valid is a pure
 // function of the formula (and the limits): every prover would store
@@ -42,12 +42,10 @@ type cacheShard struct {
 	m  map[expr.FP]cacheEntry
 }
 
-// cacheEntry carries the verdict plus what it was computed for: the
-// formula and an integer salt (callers use it for non-formula key
-// context such as a CFG node). Both are checked on lookup.
+// cacheEntry carries the verdict plus the formula it was computed for,
+// which is checked on lookup.
 type cacheEntry struct {
 	f       expr.Formula
-	salt    uint64
 	verdict bool
 }
 
@@ -62,29 +60,29 @@ func (c *ShardedCache) shardOf(key expr.FP) *cacheShard {
 	return &c.shards[key.Lo&(cacheShards-1)]
 }
 
-// Get returns the cached verdict for (key, salt, f) and whether one is
-// present. A fingerprint hit whose recorded salt or formula does not
-// match is reported as a miss.
-func (c *ShardedCache) Get(key expr.FP, salt uint64, f expr.Formula) (verdict, ok bool) {
+// Get returns the cached verdict for f, filed under its fingerprint
+// key, and whether one is present. A fingerprint hit whose recorded
+// formula does not match is reported as a miss.
+func (c *ShardedCache) Get(key expr.FP, f expr.Formula) (verdict, ok bool) {
 	faults.Fire(faults.CacheLookup)
 	s := c.shardOf(key)
 	s.mu.RLock()
 	e, present := s.m[key]
 	s.mu.RUnlock()
-	if !present || e.salt != salt || !expr.Equal(e.f, f) {
+	if !present || !expr.Equal(e.f, f) {
 		return false, false
 	}
 	return e.verdict, true
 }
 
-// Put records the verdict for (key, salt, f).
-func (c *ShardedCache) Put(key expr.FP, salt uint64, f expr.Formula, verdict bool) {
+// Put records the verdict for f under its fingerprint key.
+func (c *ShardedCache) Put(key expr.FP, f expr.Formula, verdict bool) {
 	s := c.shardOf(key)
 	s.mu.Lock()
 	if s.m == nil {
 		s.m = make(map[expr.FP]cacheEntry)
 	}
-	s.m[key] = cacheEntry{f: f, salt: salt, verdict: verdict}
+	s.m[key] = cacheEntry{f: f, verdict: verdict}
 	s.mu.Unlock()
 }
 

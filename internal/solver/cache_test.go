@@ -13,34 +13,30 @@ func geConst(i int) expr.Formula { return expr.Ge(expr.Constant(int64(i))) }
 
 // TestShardedCacheBasics checks the single-goroutine contract: absent
 // keys miss, stored verdicts (both true and false) come back verbatim,
-// overwrites win, salt and formula mismatches miss, and Len counts
-// across shards.
+// overwrites win, formula mismatches miss, and Len counts across
+// shards.
 func TestShardedCacheBasics(t *testing.T) {
 	c := NewShardedCache()
 	yes, no := geConst(1), geConst(2)
 	yesKey, noKey := expr.Fingerprint(yes), expr.Fingerprint(no)
-	if _, ok := c.Get(yesKey, 0, yes); ok {
+	if _, ok := c.Get(yesKey, yes); ok {
 		t.Fatal("hit on an empty cache")
 	}
-	c.Put(yesKey, 0, yes, true)
-	c.Put(noKey, 0, no, false)
-	if v, ok := c.Get(yesKey, 0, yes); !ok || !v {
+	c.Put(yesKey, yes, true)
+	c.Put(noKey, no, false)
+	if v, ok := c.Get(yesKey, yes); !ok || !v {
 		t.Fatalf("Get(yes) = %v, %v", v, ok)
 	}
-	if v, ok := c.Get(noKey, 0, no); !ok || v {
+	if v, ok := c.Get(noKey, no); !ok || v {
 		t.Fatalf("Get(no) = %v, %v", v, ok)
 	}
-	// A fingerprint hit with the wrong salt or the wrong formula is a
-	// miss, not an answer: the verified-hit contract that makes hash
-	// collisions harmless.
-	if _, ok := c.Get(yesKey, 1, yes); ok {
-		t.Fatal("hit despite salt mismatch")
-	}
-	if _, ok := c.Get(yesKey, 0, no); ok {
+	// A fingerprint hit with the wrong formula is a miss, not an answer:
+	// the verified-hit contract that makes hash collisions harmless.
+	if _, ok := c.Get(yesKey, no); ok {
 		t.Fatal("hit despite formula mismatch")
 	}
-	c.Put(yesKey, 0, yes, false)
-	if v, _ := c.Get(yesKey, 0, yes); v {
+	c.Put(yesKey, yes, false)
+	if v, _ := c.Get(yesKey, yes); v {
 		t.Fatal("overwrite did not win")
 	}
 	if c.Len() != 2 {
@@ -73,11 +69,11 @@ func TestShardedCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 50; rep++ {
 				for i := 0; i < keys; i++ {
-					if v, ok := c.Get(fps[i], 0, fs[i]); ok && v != verdictOf(i) {
+					if v, ok := c.Get(fps[i], fs[i]); ok && v != verdictOf(i) {
 						t.Errorf("key %d: read %v, want %v", i, v, verdictOf(i))
 						return
 					}
-					c.Put(fps[i], 0, fs[i], verdictOf(i))
+					c.Put(fps[i], fs[i], verdictOf(i))
 				}
 			}
 		}(g)
@@ -87,7 +83,7 @@ func TestShardedCacheConcurrent(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", c.Len(), keys)
 	}
 	for i := 0; i < keys; i++ {
-		if v, ok := c.Get(fps[i], 0, fs[i]); !ok || v != verdictOf(i) {
+		if v, ok := c.Get(fps[i], fs[i]); !ok || v != verdictOf(i) {
 			t.Fatalf("key %d: final verdict %v, %v", i, v, ok)
 		}
 	}
@@ -152,8 +148,8 @@ func TestSharedCacheNeverFlipsVerdict(t *testing.T) {
 	invalid := expr.Ge(x)          // not provable, so a hit saying true is visible
 
 	shared := NewShardedCache()
-	shared.Put(expr.Fingerprint(tautology), 0, tautology, false)
-	shared.Put(expr.Fingerprint(invalid), 0, invalid, true)
+	shared.Put(expr.Fingerprint(tautology), tautology, false)
+	shared.Put(expr.Fingerprint(invalid), invalid, true)
 
 	p := NewShared(shared)
 	if p.Valid(tautology) {

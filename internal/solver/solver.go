@@ -135,7 +135,7 @@ func (p *Prover) SharedCache() *ShardedCache { return p.cache }
 func (p *Prover) Valid(f expr.Formula) bool {
 	p.Stats.ValidQueries++
 	key := expr.Fingerprint(f)
-	if r, ok := p.cache.Get(key, 0, f); ok {
+	if r, ok := p.cache.Get(key, f); ok {
 		p.Stats.CacheHits++
 		return r
 	}
@@ -143,7 +143,7 @@ func (p *Prover) Valid(f expr.Formula) bool {
 	// A verdict reached under a resource trip is budget-dependent, not a
 	// fact about the formula: never cache it.
 	if p.trip == "" {
-		p.cache.Put(key, 0, f, r)
+		p.cache.Put(key, f, r)
 	}
 	return r
 }

@@ -93,98 +93,46 @@ func getRequirement(t *testing.T, asm string) (*cfg.Proc, expr.Formula) {
 	return nil, nil
 }
 
-// TestCallSiteRequirementProvedOnce: get's two accesses require the same
-// formula at both call sites. The first access proves it at each site;
-// the second finds both verdicts in the query cache, and every verdict
-// equals the one proved with no cache to consult.
-func TestCallSiteRequirementProvedOnce(t *testing.T) {
+// TestCallSiteRequirementVerdicts: get's two accesses require the same
+// formula at both call sites. Every verdict of a check equals the one an
+// engine of its own reaches for that condition alone, and the
+// requirement discharged at get's entry holds exactly when it holds at
+// each site.
+func TestCallSiteRequirementVerdicts(t *testing.T) {
 	pl := build(t, twoSiteAsm, callSiteSpec, "main")
 	if len(pl.g.Sites) != 2 {
 		t.Fatalf("call sites = %d, want 2", len(pl.g.Sites))
 	}
-	// Sequentially, so the second access is proved after the first.
-	seq := New(pl.res, solver.New(), Options{Parallelism: 1})
-	out := seq.Prove(pl.ann.Conds)
-	if seq.Stats.CacheHits == 0 {
-		t.Fatal("the repeated call-site requirement never hit the query cache")
-	}
-	// Bypassing the cache: each condition proved by an engine of its own.
+	out := New(pl.res, solver.New(), Options{Parallelism: 1}).Prove(pl.ann.Conds)
 	for i, c := range pl.ann.Conds {
 		lone := New(pl.res, solver.New(), Options{})
 		want := lone.Prove([]*annotate.GlobalCond{c})[0].Proved
 		if out[i].Proved != want {
-			t.Errorf("condition %q: proved=%v with call-site reuse, %v without", c.Desc, out[i].Proved, want)
+			t.Errorf("condition %q: proved=%v in the check, %v alone", c.Desc, out[i].Proved, want)
 		}
 		if !out[i].Proved {
 			t.Errorf("condition %q not proved: %v", c.Desc, c.F)
 		}
 	}
 
-	// White-box: the second discharge of one requirement at get's entry
-	// asks the solver nothing and answers both sites from the cache.
 	proc, g := getRequirement(t, twoSiteAsm)
-	e := New(pl.res, solver.New(), Options{})
-	if !e.proveAtProcEntry(proc, g) {
+	if !New(pl.res, solver.New(), Options{}).proveAtProcEntry(proc, g) {
 		t.Fatalf("requirement %v not proved at the call sites", g)
 	}
-	if e.Stats.CacheHits != 0 {
-		t.Fatalf("first discharge hit the cache %d times", e.Stats.CacheHits)
-	}
-	queries := e.P.Stats.ValidQueries
-	if !e.proveAtProcEntry(proc, g) {
-		t.Fatal("second discharge flipped the verdict")
-	}
-	if e.Stats.CacheHits != len(pl.g.Sites) {
-		t.Errorf("second discharge: %d cache hits, want one per site (%d)", e.Stats.CacheHits, len(pl.g.Sites))
-	}
-	if q := e.P.Stats.ValidQueries - queries; q != 0 {
-		t.Errorf("second discharge posed %d solver queries, want 0", q)
-	}
-	// The same requirement proved site by site with no cache at all.
-	bare := New(pl.res, solver.New(), Options{})
 	for _, site := range pl.g.Sites {
-		if !bare.proveAt(site.DelayNode, true, g) {
-			t.Errorf("site %d: uncached proof fails where the cached one succeeded", site.DelayNode)
+		if !New(pl.res, solver.New(), Options{}).proveAt(site.DelayNode, true, g) {
+			t.Errorf("site %d: the proof at the site fails where the one at get's entry succeeded", site.DelayNode)
 		}
 	}
 }
 
-// TestCallSiteVerdictUnderTripNotStored: a call-site proof interrupted by
-// the solver step budget answers a conservative false, and that verdict
-// is not stored — while the same proof run to completion is.
-func TestCallSiteVerdictUnderTripNotStored(t *testing.T) {
-	pl := build(t, twoSiteAsm, callSiteSpec, "main")
-	proc, g := getRequirement(t, twoSiteAsm)
-
-	e := New(pl.res, solver.New(), Options{})
-	if !e.proveAtProcEntry(proc, g) {
-		t.Fatal("ungoverned proof failed")
-	}
-	if n := e.cache.Len(); n != len(pl.g.Sites) {
-		t.Fatalf("ungoverned proof stored %d verdicts, want %d", n, len(pl.g.Sites))
-	}
-
-	p := solver.New()
-	p.Ctl = solver.NewCtl(nil, time.Time{}, 1)
-	tripped := New(pl.res, p, Options{})
-	if tripped.proveAtProcEntry(proc, g) {
-		t.Fatal("a proof out of budget succeeded")
-	}
-	if p.ResourceStop() == "" {
-		t.Fatal("the step budget never tripped")
-	}
-	if n := tripped.cache.Len(); n != 0 {
-		t.Errorf("a tripped proof stored %d call-site verdicts", n)
-	}
-}
-
-// TestCallSiteVerdictAfterCycleCutNotStored: a call-site proof during
-// which a loop-entry cycle cut fires answers false only because the
-// enclosing proof had that entry check open, so the verdict is not
-// stored; the same proof without the open check is stored.
-func TestCallSiteVerdictAfterCycleCutNotStored(t *testing.T) {
-	pl := build(t, loopSiteAsm, callSiteSpec, "main")
-	proc, g := getRequirement(t, loopSiteAsm)
+// loopSiteW0 returns the loop around loopSiteAsm's call site and W(0)
+// of the site's synthesis for requirement g: g carried back from
+// the site to the loop header. It is computed on a twin engine that
+// replays the steps up to it, so it has the fresh-variable names an
+// engine under test will mint.
+func loopSiteW0(t *testing.T, pl *pipeline, g expr.Formula) (*cfg.Loop, expr.Formula) {
+	t.Helper()
 	if len(pl.g.Sites) != 1 {
 		t.Fatalf("call sites = %d, want 1", len(pl.g.Sites))
 	}
@@ -193,34 +141,86 @@ func TestCallSiteVerdictAfterCycleCutNotStored(t *testing.T) {
 	if l == nil {
 		t.Fatal("the call site should lie inside main's loop")
 	}
-
-	// The loop-entry check the call-site proof opens first is on W(0),
-	// the requirement carried back to the loop header. A twin engine
-	// replays the steps up to it (the same fresh-variable names) to
-	// learn its cache key.
 	twin := New(pl.res, solver.New(), Options{})
 	f := twin.simplify(twin.wlpInsn(site.DelayNode, g))
 	w0 := expr.Simplify(twin.passRegion(region{proc: pl.g.ProcOf(site.DelayNode), loop: l},
 		map[int]expr.Formula{site.DelayNode: f}, nil, nil, expr.T()))
-	key := expr.Fingerprint(w0).Mixed(uint64(l.Header))
+	return l, w0
+}
+
+// TestCallSiteVerdictUnderTripNotStored: a call-site proof interrupted by
+// the solver step budget answers a conservative false, and the memo
+// keeps only what it had finished on the merits before the trip: every
+// entry it holds is one the same proof run to completion stores too,
+// with the same result. The budget grows one step at a time until the
+// proof completes, so the trip falls at every point of the proof.
+func TestCallSiteVerdictUnderTripNotStored(t *testing.T) {
+	pl := build(t, loopSiteAsm, callSiteSpec, "main")
+	proc, g := getRequirement(t, loopSiteAsm)
+	l, w0 := loopSiteW0(t, pl, g)
+
+	e := New(pl.res, solver.New(), Options{})
+	if !e.proveAtProcEntry(proc, g) {
+		t.Fatal("ungoverned proof failed")
+	}
+	if v, ok := stored(e.entries, entryCtx(l, w0)); !ok || !v {
+		t.Fatalf("the ungoverned proof stored (%v, %v) for W(0), want (true, true)", v, ok)
+	}
+
+	for steps := int64(1); ; steps++ {
+		p := solver.New()
+		p.Ctl = solver.NewCtl(nil, time.Time{}, steps)
+		tripped := New(pl.res, p, Options{})
+		if tripped.proveAtProcEntry(proc, g) {
+			if steps == 1 {
+				t.Fatal("the proof needs no solver step")
+			}
+			break
+		}
+		if p.ResourceStop() == "" {
+			t.Fatalf("budget %d: the proof failed without a trip", steps)
+		}
+		for _, ent := range tripped.entries.m {
+			if v, ok := stored(e.entries, ent.ctx); !ok || v != ent.v {
+				t.Errorf("budget %d: entry check %v stored %v; on the merits (%v, %v)", steps, ent.ctx.fs[0], ent.v, v, ok)
+			}
+		}
+		for _, ent := range tripped.crossings.m {
+			if inv, ok := stored(e.crossings, ent.ctx); !ok || !expr.Equal(inv, ent.v) {
+				t.Errorf("budget %d: a crossing stored %v; on the merits %v", steps, ent.v, inv)
+			}
+		}
+	}
+}
+
+// TestCallSiteVerdictAfterCycleCutNotStored: a call-site proof during
+// which a loop-entry cycle cut fires answers false only because the
+// enclosing proof had that entry check open, so the memo stores nothing
+// from it; the same proof without the open check stores the loop-entry
+// verdict on the site's W(0).
+func TestCallSiteVerdictAfterCycleCutNotStored(t *testing.T) {
+	pl := build(t, loopSiteAsm, callSiteSpec, "main")
+	proc, g := getRequirement(t, loopSiteAsm)
+	// The loop-entry check the call-site proof opens first is on W(0).
+	l, w0 := loopSiteW0(t, pl, g)
 
 	free := New(pl.res, solver.New(), Options{})
 	if !free.proveAtProcEntry(proc, g) {
 		t.Fatal("call-site proof failed with no entry check open")
 	}
-	if free.cuts != 0 || free.cache.Len() != 1 {
-		t.Fatalf("open-free proof: cuts=%d stored=%d, want 0 and 1", free.cuts, free.cache.Len())
+	if v, ok := stored(free.entries, entryCtx(l, w0)); free.cuts != 0 || !ok || !v {
+		t.Fatalf("open-free proof: cuts=%d, W(0) stored (%v, %v), want 0 and (true, true)", free.cuts, v, ok)
 	}
 
 	e := New(pl.res, solver.New(), Options{})
-	e.entryActive[key] = true // as if an enclosing proof had it open
+	e.entryActive[entryCtx(l, w0).key()] = true // as if an enclosing proof had it open
 	if e.proveAtProcEntry(proc, g) {
 		t.Fatal("proof succeeded through a cut entry check")
 	}
 	if e.cuts == 0 {
 		t.Fatalf("the entry check on %v was never cut", w0)
 	}
-	if n := e.cache.Len(); n != 0 {
-		t.Errorf("a verdict reached after a cycle cut was stored (%d entries)", n)
+	if n := len(e.entries.m) + len(e.crossings.m); n != 0 {
+		t.Errorf("a verdict reached after a cycle cut was stored (%d memo entries)", n)
 	}
 }

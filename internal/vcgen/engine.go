@@ -34,8 +34,10 @@ type Options struct {
 	// Parallelism is the number of pool workers Prove uses to discharge
 	// condition chunks (0 means GOMAXPROCS). Worker 0 runs on the
 	// calling goroutine, so 1 starts no goroutine. Results are written
-	// by index and every cache is verdict-pure, so verdicts and their
-	// ordering do not depend on the worker count (see pool.go).
+	// by index, and the one memo table the workers share holds
+	// loop-entry verdicts, each the same whichever worker proves it, so
+	// verdicts and their ordering do not depend on the worker count
+	// (see pool.go).
 	Parallelism int
 	// CondTimeout bounds each condition's proof wall clock (0 = none).
 	// A condition whose proof exceeds it is abandoned with a
@@ -49,7 +51,11 @@ type Stats struct {
 	Conditions    int
 	Proved        int
 	InductionRuns int
-	CacheHits     int
+	// CacheLookups and CacheHits count the lookups into the memo
+	// (loop-entry verdicts and crossing invariants) and the hits that
+	// verified against the stored context.
+	CacheLookups int
+	CacheHits    int
 	// InductionIters and InductionCands total the candidate chains
 	// examined and candidate formulas generated across all invariant
 	// syntheses (induction.Stats, summed).
@@ -108,7 +114,7 @@ type Engine struct {
 	// wlpCapture, when non-nil, receives the first back-substituted
 	// entry formula computed under the current proof attempt (the "WLP"
 	// of explainable verdicts).
-	wlpCapture *string
+	wlpCapture *expr.Formula
 
 	g *cfg.Graph
 	// rm and conv are the checked program's register model and calling
@@ -117,23 +123,18 @@ type Engine struct {
 	rm    *isa.RegModel
 	conv  *isa.Convention
 	fresh int
-	// cache and entryCache are fingerprint-keyed verdict caches, one
-	// per check: every worker engine of a pool uses its coordinator's.
-	// Only bool-valued caches are shareable: a key embeds the complete
-	// formula (by fingerprint, verified structurally on hit) and its
-	// proof point, and a verdict about those is a fact whichever engine
-	// computes it. crossCache maps a crossing's composite fingerprint to
-	// its synthesized invariant, stored with the context the fingerprint
-	// is built from and verified on a hit. It stays per engine — an
-	// invariant carries the minting engine's fresh-variable names, which
-	// another engine could independently re-mint with a different
-	// meaning (capture).
-	cache      *solver.ShardedCache
-	entryCache *solver.ShardedCache
-	crossCache map[expr.FP]crossEntry
+	// entries and crossings are the memo (memo.go). entries holds
+	// loop-entry verdicts, one table per check that every worker engine
+	// of a pool shares with its coordinator: a verdict on (header, w) is
+	// a fact whichever engine proves it. crossings holds crossing
+	// invariants and stays per engine: an invariant carries the minting
+	// engine's fresh-variable names, which another engine could
+	// independently re-mint with a different meaning (capture).
+	entries   *memo[bool]
+	crossings *memo[expr.Formula]
 	// entryActive breaks recursion cycles between loop crossings and
 	// their entry checks (a cycle answers false: conservative). cuts
-	// counts the cycles it has broken, so a cache can tell a result
+	// counts the cycles it has broken, so the memo can tell a result
 	// that leaned on one (see storable).
 	entryActive map[expr.FP]bool
 	cuts        int
@@ -145,9 +146,8 @@ func New(res *propagate.Result, p *solver.Prover, opts Options) *Engine {
 	return &Engine{Res: res, P: p, Opts: opts, g: res.G,
 		rm:          arch.Regs(),
 		conv:        arch.Conv(),
-		cache:       solver.NewShardedCache(),
-		entryCache:  solver.NewShardedCache(),
-		crossCache:  make(map[expr.FP]crossEntry),
+		entries:     newMemo[bool](),
+		crossings:   newMemo[expr.Formula](),
 		entryActive: make(map[expr.FP]bool)}
 }
 
@@ -216,7 +216,7 @@ func (e *Engine) proveGroup(conds []*annotate.GlobalCond, g condGroup) bool {
 		fs[i] = conds[idx].F
 	}
 	conj := expr.Simplify(expr.Conj(fs...))
-	return e.provedCached(g.node, g.after, conj)
+	return e.proveAt(g.node, g.after, conj)
 }
 
 // beginCond opens a fresh per-condition deadline when a timeout is set.
@@ -238,13 +238,15 @@ func (e *Engine) proveCond(c *annotate.GlobalCond, groupProved bool) CondResult 
 	e.beginCond()
 	attempt := func(kind string, f expr.Formula) bool {
 		f = expr.Simplify(f)
-		var wlp string
+		var wlp expr.Formula
 		e.wlpCapture = &wlp
-		ok := e.provedCached(c.Node, c.AfterNode, f)
+		ok := e.proveAt(c.Node, c.AfterNode, f)
 		e.wlpCapture = nil
-		r.Attempts = append(r.Attempts, Attempt{
-			Kind: kind, Formula: e.P.Intern.StringOf(f), WLP: wlp, Proved: ok,
-		})
+		at := Attempt{Kind: kind, Formula: e.P.Intern.StringOf(f), Proved: ok}
+		if wlp != nil {
+			at.WLP = e.P.Intern.StringOf(wlp)
+		}
+		r.Attempts = append(r.Attempts, at)
 		return ok
 	}
 	r.Proved = groupProved
@@ -319,7 +321,7 @@ func (e *Engine) factsAttempt(c *annotate.GlobalCond, r *CondResult) bool {
 func (e *Engine) stopped() bool { return e.P.Stopped() }
 
 // storable reports whether a result computed since the engine's cut
-// counter read cuts may be cached. The engine's caches must hold only
+// counter read cuts may be memoized. The memo must hold only
 // context-free results on the merits, so two kinds are never stored:
 //   - a result reached after the prover tripped is conservative but
 //     budget-dependent, not a fact about the formula;
@@ -329,41 +331,6 @@ func (e *Engine) stopped() bool { return e.P.Stopped() }
 //     that proof.
 func (e *Engine) storable(cuts int) bool {
 	return !e.stopped() && e.cuts == cuts
-}
-
-// provedCached runs proveAt through the per-query cache, for top-level
-// conditions and call-site requirements alike.
-func (e *Engine) provedCached(node int, after bool, f expr.Formula) bool {
-	if e.stopped() {
-		return false
-	}
-	key, salt := queryKey(node, after, f)
-	if v, ok := e.cache.Get(key, salt, f); ok {
-		e.Stats.CacheHits++
-		return v
-	}
-	cuts := e.cuts
-	v := e.proveAt(node, after, f)
-	if e.storable(cuts) {
-		e.cache.Put(key, salt, f, v)
-	}
-	return v
-}
-
-// queryKey returns the query cache's key for f at a proof point. The
-// point (node, after) is the key's salt: mixed into the fingerprint for
-// distribution, and stored alongside the formula so a hit is verified
-// against both.
-func queryKey(node int, after bool, f expr.Formula) (expr.FP, uint64) {
-	salt := uint64(node)<<1 | boolBit(after)
-	return expr.Fingerprint(f).Mixed(salt), salt
-}
-
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // point context: a formula required before a node, in all executions.
@@ -384,14 +351,15 @@ func (e *Engine) simplify(f expr.Formula) expr.Formula {
 // current proof attempt to the explain machinery (first write wins: the
 // top-level query's formula, not a recursive call-site check's).
 func (e *Engine) captureWLP(g expr.Formula) {
-	if e.wlpCapture != nil && *e.wlpCapture == "" {
-		*e.wlpCapture = e.P.Intern.StringOf(g)
+	if e.wlpCapture != nil && *e.wlpCapture == nil {
+		*e.wlpCapture = g
 	}
 }
 
 // synthesize runs one invariant synthesis under an "induction" span,
-// folding the search-effort stats into the engine's totals.
-func (e *Engine) synthesize(hooks induction.Hooks, what string) (*induction.Result, bool) {
+// starting from the W(0) that w0 computes inside the span, and folds
+// the search-effort stats into the engine's totals.
+func (e *Engine) synthesize(what string, hooks induction.Hooks, w0 func() expr.Formula) (*induction.Result, bool) {
 	if e.stopped() {
 		// The envelope is gone: skip the search entirely (the caller
 		// degrades to "not proved", which is conservative).
@@ -399,6 +367,7 @@ func (e *Engine) synthesize(hooks induction.Hooks, what string) (*induction.Resu
 	}
 	e.Stats.InductionRuns++
 	e.Obs.Begin("induction", what)
+	hooks.W0 = w0()
 	res, ok := induction.Synthesize(e.P, hooks, e.Opts.Induction)
 	e.Stats.InductionIters += res.Stats.Iterations
 	e.Stats.InductionCands += res.Stats.Candidates
@@ -408,6 +377,9 @@ func (e *Engine) synthesize(hooks induction.Hooks, what string) (*induction.Resu
 
 // proveAt proves that f holds before (or after) node in every execution.
 func (e *Engine) proveAt(node int, after bool, f expr.Formula) bool {
+	if e.stopped() {
+		return false
+	}
 	if after {
 		f = e.wlpInsn(node, f)
 	}
@@ -427,14 +399,19 @@ func (e *Engine) proveAt(node int, after bool, f expr.Formula) bool {
 // proveInLoop runs induction iteration for a condition at a node inside a
 // natural loop (Section 5.2.2's worked example).
 func (e *Engine) proveInLoop(l *cfg.Loop, node int, f expr.Formula) bool {
-	proc := e.g.ProcOf(node)
-	reg := region{proc: proc, loop: l}
+	reg := region{proc: e.g.ProcOf(node), loop: l}
+	return e.synthesizeAt("in-loop", l, func() expr.Formula {
+		g := e.passRegion(reg, map[int]expr.Formula{node: f}, nil, nil, expr.T())
+		e.captureWLP(g)
+		return g
+	})
+}
+
+// synthesizeAt synthesizes an invariant of loop l that holds on entry to
+// l, starting from the W(0) that w0 computes.
+func (e *Engine) synthesizeAt(what string, l *cfg.Loop, w0 func() expr.Formula) bool {
+	reg := region{proc: e.g.ProcOf(l.Header), loop: l}
 	hooks := induction.Hooks{
-		First: func(back expr.Formula) expr.Formula {
-			g := e.passRegion(reg, map[int]expr.Formula{node: f}, nil, nil, back)
-			e.captureWLP(g)
-			return g
-		},
 		Next: func(back expr.Formula) expr.Formula {
 			return e.passRegion(reg, nil, nil, nil, back)
 		},
@@ -443,7 +420,7 @@ func (e *Engine) proveInLoop(l *cfg.Loop, node int, f expr.Formula) bool {
 		},
 		ModifiedVars: e.modifiedVars(l),
 	}
-	_, ok := e.synthesize(hooks, "in-loop")
+	_, ok := e.synthesize(what, hooks, w0)
 	return ok
 }
 
@@ -457,23 +434,21 @@ func (e *Engine) proveAtLoopEntry(l *cfg.Loop, w expr.Formula) bool {
 	if e.stopped() {
 		return false
 	}
-	salt := uint64(l.Header)
-	key := expr.Fingerprint(w).Mixed(salt)
-	if v, ok := e.entryCache.Get(key, salt, w); ok {
+	return memoized(e, e.entries, entryCtx(l, w), func(key expr.FP) bool {
+		if e.entryActive[key] {
+			e.cuts++
+			return false
+		}
+		e.entryActive[key] = true
+		v := e.proveAtLoopEntryUncached(l, w)
+		delete(e.entryActive, key)
 		return v
-	}
-	if e.entryActive[key] {
-		e.cuts++
-		return false
-	}
-	cuts := e.cuts
-	e.entryActive[key] = true
-	v := e.proveAtLoopEntryUncached(l, w)
-	delete(e.entryActive, key)
-	if e.storable(cuts) {
-		e.entryCache.Put(key, salt, w, v)
-	}
-	return v
+	})
+}
+
+// entryCtx is the memo context of a loop-entry proof of w at l.
+func entryCtx(l *cfg.Loop, w expr.Formula) memoCtx {
+	return memoCtx{ids: []int{l.Header}, fs: []expr.Formula{w}}
 }
 
 func (e *Engine) proveAtLoopEntryUncached(l *cfg.Loop, w expr.Formula) bool {
@@ -485,31 +460,17 @@ func (e *Engine) proveAtLoopEntryUncached(l *cfg.Loop, w expr.Formula) bool {
 	}
 	// The loop entry lies inside the parent loop: synthesize at the
 	// parent level (the nested-loop enhancement of Section 5.2.1).
-	parent := l.Parent
-	reg := region{proc: proc, loop: parent}
-	hooks := induction.Hooks{
-		First: func(back expr.Formula) expr.Formula {
-			return e.passRegion(reg, nil, entryTargets, nil, back)
-		},
-		Next: func(back expr.Formula) expr.Formula {
-			return e.passRegion(reg, nil, nil, nil, back)
-		},
-		OnEntry: func(wi expr.Formula) bool {
-			return e.proveAtLoopEntry(parent, wi)
-		},
-		ModifiedVars: e.modifiedVars(parent),
-	}
-	_, ok := e.synthesize(hooks, "loop-entry")
-	return ok
+	reg := region{proc: proc, loop: l.Parent}
+	return e.synthesizeAt("loop-entry", l.Parent, func() expr.Formula {
+		return e.passRegion(reg, nil, entryTargets, nil, expr.T())
+	})
 }
 
 // proveAtProcEntry discharges a formula required at a procedure's entry:
 // against the initial annotations for the program's entry procedure, and
 // at every call site otherwise (Section 5.2.1: "when we reach the entry
 // of a procedure, we check that the conditions are true at each
-// call site"). A call-site requirement is a query like any other, so it
-// goes through the query cache: one check that reaches the same
-// requirement at the same site again answers it from there.
+// call site").
 func (e *Engine) proveAtProcEntry(proc *cfg.Proc, g expr.Formula) bool {
 	g = expr.Simplify(g)
 	if _, isTrue := g.(expr.TrueF); isTrue {
@@ -523,18 +484,30 @@ func (e *Engine) proveAtProcEntry(proc *cfg.Proc, g expr.Formula) bool {
 		// Never called: vacuously true.
 		return true
 	}
+	if len(sites) == 1 {
+		return e.proveAt(sites[0].DelayNode, true, g)
+	}
 	// With several call sites, a requirement that fails on the first
 	// execution of one call is refuted there without synthesizing an
-	// invariant: test that at every site before proving any.
-	if len(sites) > 1 {
-		for _, site := range sites {
-			if e.entryRefutes(site, g) {
-				return false
-			}
+	// invariant: test that at every site before proving any. The test
+	// computes W(0) at each site inside a loop, and that site's
+	// synthesis starts from it.
+	w0s := make([]expr.Formula, len(sites))
+	for i, site := range sites {
+		w0, refuted := e.entryRefutes(site, g)
+		if refuted {
+			return false
 		}
+		w0s[i] = w0
 	}
-	for _, site := range sites {
-		if !e.provedCached(site.DelayNode, true, g) {
+	for i, site := range sites {
+		var ok bool
+		if w0 := w0s[i]; w0 != nil {
+			ok = e.synthesizeAt("in-loop", e.g.InnermostLoop(site.DelayNode), func() expr.Formula { return w0 })
+		} else {
+			ok = e.proveAt(site.DelayNode, true, g)
+		}
+		if !ok {
 			return false
 		}
 	}
@@ -546,28 +519,26 @@ func (e *Engine) proveAtProcEntry(proc *cfg.Proc, g expr.Formula) bool {
 // call: carried back to the header of the loop around the site, it is
 // neither valid nor provable on entry to the loop. That is the first
 // test the site's invariant synthesis makes (induction.Synthesize's
-// Inv.0 on W(0)), so a refutation here means provedCached(site, g) is
-// false. A site outside any loop is never refuted here.
-func (e *Engine) entryRefutes(site *cfg.CallSite, g expr.Formula) bool {
+// Inv.0 on W(0)), so a refutation here means proveAt(site, g) is false.
+// It also returns that W(0), the one the site's synthesis starts from,
+// or nil, and no refutation, for a site outside any loop or once the
+// prover has stopped.
+func (e *Engine) entryRefutes(site *cfg.CallSite, g expr.Formula) (w0 expr.Formula, refuted bool) {
 	node := site.DelayNode
 	l := e.g.InnermostLoop(node)
 	if l == nil || e.stopped() {
-		return false
-	}
-	key, salt := queryKey(node, true, g)
-	if v, ok := e.cache.Get(key, salt, g); ok {
-		return !v
+		return nil, false
 	}
 	f := e.simplify(e.wlpInsn(node, g))
 	if _, isTrue := f.(expr.TrueF); isTrue {
-		return false
+		return f, false
 	}
 	reg := region{proc: e.g.ProcOf(node), loop: l}
-	w0 := expr.Simplify(e.passRegion(reg, map[int]expr.Formula{node: f}, nil, nil, expr.T()))
+	w0 = expr.Simplify(e.passRegion(reg, map[int]expr.Formula{node: f}, nil, nil, expr.T()))
 	if _, isTrue := w0.(expr.TrueF); isTrue || e.P.Valid(w0) {
-		return false
+		return w0, false
 	}
-	return !e.proveAtLoopEntry(l, w0)
+	return w0, !e.proveAtLoopEntry(l, w0)
 }
 
 func (e *Engine) sitesCalling(procIdx int) []*cfg.CallSite {
@@ -812,9 +783,9 @@ func (e *Engine) crossLoopEntry(
 	// Are there any targets inside c? (They would have been the
 	// proveInLoop case; during crossing we only carry continuations.)
 	inner := region{proc: r.proc, loop: c}
-	// Materialize the exit continuations so the crossing can be cached:
-	// identical continuations (common across chain iterations of the
-	// enclosing synthesis) reuse the synthesized invariant.
+	// Materialize the exit continuations so the crossing can be
+	// memoized: identical continuations (common across chain iterations
+	// of the enclosing synthesis) reuse the synthesized invariant.
 	exitVals := map[int]expr.Formula{}
 	for _, x := range c.Exits {
 		if _, ok := exitVals[x.To]; !ok {
@@ -825,97 +796,26 @@ func (e *Engine) crossLoopEntry(
 	for l2, f := range loopEntryTargets {
 		byHeader[l2.Header] = f
 	}
-	ctx := crossCtx{ids: []int{c.Header}}
+	ctx := memoCtx{ids: []int{c.Header}}
 	ctx.add(exitVals)
 	ctx.add(targets)
 	ctx.add(byHeader)
-	key := ctx.key()
-	if ent, ok := e.crossCache[key]; ok && ent.ctx.equal(ctx) {
-		return ent.inv
-	}
-	cuts := e.cuts
-	exitFn := func(to int) expr.Formula {
-		if f, ok := exitVals[to]; ok {
-			return f
+	return memoized(e, e.crossings, ctx, func(expr.FP) expr.Formula {
+		exitFn := func(to int) expr.Formula {
+			if f, ok := exitVals[to]; ok {
+				return f
+			}
+			// An exit of c lands back in the outer region (or beyond).
+			return outerCont(to)
 		}
-		// An exit of c lands back in the outer region (or beyond).
-		return outerCont(to)
-	}
-	hooks := induction.Hooks{
-		First: func(b expr.Formula) expr.Formula {
+		pass := func(b expr.Formula) expr.Formula {
 			return e.passRegion(inner, targets, loopEntryTargets, exitFn, b)
-		},
-		Next: func(b expr.Formula) expr.Formula {
-			return e.passRegion(inner, targets, loopEntryTargets, exitFn, b)
-		},
-		ModifiedVars: e.modifiedVars(c),
-	}
-	res, ok := e.synthesize(hooks, "cross")
-	inv := expr.F()
-	if ok {
-		inv = res.Invariant
-	}
-	if e.storable(cuts) {
-		e.crossCache[key] = crossEntry{ctx: ctx, inv: inv}
-	}
-	return inv
-}
-
-// crossCtx is the context a crossing's invariant is synthesized for,
-// flattened: ids holds the loop header, then for the exit
-// continuations, the targets and the loop-entry targets (by header) in
-// turn, a count and the ascending ids; fs holds their formulas in the
-// same order.
-type crossCtx struct {
-	ids []int
-	fs  []expr.Formula
-}
-
-// crossEntry is one crossCache slot: a synthesized invariant and the
-// context it was synthesized for.
-type crossEntry struct {
-	ctx crossCtx
-	inv expr.Formula
-}
-
-func (c *crossCtx) add(m map[int]expr.Formula) {
-	c.ids = append(c.ids, len(m))
-	start := len(c.ids)
-	for id := range m {
-		c.ids = append(c.ids, id)
-	}
-	sort.Ints(c.ids[start:])
-	for _, id := range c.ids[start:] {
-		c.fs = append(c.fs, m[id])
-	}
-}
-
-func (c crossCtx) key() expr.FP {
-	key := expr.SeedFP(0xc5055)
-	for _, id := range c.ids {
-		key = key.Mixed(uint64(id))
-	}
-	for _, f := range c.fs {
-		key = key.MixFP(expr.Fingerprint(f))
-	}
-	return key
-}
-
-// equal verifies a key hit: a fingerprint collision between different
-// contexts is a miss.
-func (c crossCtx) equal(d crossCtx) bool {
-	if len(c.ids) != len(d.ids) || len(c.fs) != len(d.fs) {
-		return false
-	}
-	for i := range c.ids {
-		if c.ids[i] != d.ids[i] {
-			return false
 		}
-	}
-	for i := range c.fs {
-		if !expr.Equal(c.fs[i], d.fs[i]) {
-			return false
+		hooks := induction.Hooks{Next: pass, ModifiedVars: e.modifiedVars(c)}
+		res, ok := e.synthesize("cross", hooks, func() expr.Formula { return pass(expr.T()) })
+		if !ok {
+			return expr.F()
 		}
-	}
-	return true
+		return res.Invariant
+	})
 }

@@ -85,26 +85,70 @@ func TestCrossingUnderTripNotStored(t *testing.T) {
 	if pl.g.InnermostLoop(c.Node) != nil {
 		t.Fatal("the access should lie after the loop")
 	}
-	if !New(pl.res, solver.New(), Options{}).provedCached(c.Node, c.AfterNode, c.F) {
+	if !New(pl.res, solver.New(), Options{}).proveAt(c.Node, c.AfterNode, c.F) {
 		t.Fatal("a fresh engine does not prove the lower bound")
 	}
 
 	e := New(pl.res, solver.New(), Options{})
 	e.P.BeginCond(time.Now().Add(-time.Second)) // already expired
-	if e.provedCached(c.Node, c.AfterNode, c.F) {
+	if e.proveAt(c.Node, c.AfterNode, c.F) {
 		t.Fatal("a proof under an expired deadline succeeded")
 	}
 	if stop := e.P.ResourceStop(); stop != solver.StopCondTimeout {
 		t.Fatalf("stop = %q, want %q", stop, solver.StopCondTimeout)
 	}
-	for key, ent := range e.crossCache {
-		if _, isFalse := ent.inv.(expr.FalseF); isFalse {
+	for key, ent := range e.crossings.m {
+		if _, isFalse := ent.v.(expr.FalseF); isFalse {
 			t.Errorf("crossing %v stored the false reached under the trip", key)
 		}
 	}
 	e.P.BeginCond(time.Time{}) // the next condition's window
-	if !e.provedCached(c.Node, c.AfterNode, c.F) {
+	if !e.proveAt(c.Node, c.AfterNode, c.F) {
 		t.Fatalf("after a tripped attempt the engine no longer proves the lower bound (stop %q)", e.P.ResourceStop())
+	}
+}
+
+// innerLoop returns the program's nested loop.
+func innerLoop(t *testing.T, pl *pipeline) *cfg.Loop {
+	t.Helper()
+	for _, proc := range pl.g.Procs {
+		for _, l := range proc.Loops {
+			if l.Parent != nil {
+				return l
+			}
+		}
+	}
+	t.Fatal("no nested loop")
+	return nil
+}
+
+// TestLoopEntryUnderTripNotStored: a loop-entry proof interrupted by the
+// solver step budget answers the conservative false, and the memo stores
+// nothing from it; the same proof run to completion stores its verdict.
+func TestLoopEntryUnderTripNotStored(t *testing.T) {
+	pl := build(t, nestedLoopAsm, callSiteSpec, "")
+	inner := innerLoop(t, pl)
+	w := expr.Ge(expr.V("%l0"))
+
+	free := New(pl.res, solver.New(), Options{})
+	if !free.proveAtLoopEntry(inner, w) {
+		t.Fatalf("%v not proved at the inner loop's entry", w)
+	}
+	if v, ok := stored(free.entries, entryCtx(inner, w)); !ok || !v {
+		t.Fatalf("the ungoverned proof stored (%v, %v), want (true, true)", v, ok)
+	}
+
+	p := solver.New()
+	p.Ctl = solver.NewCtl(nil, time.Time{}, 1)
+	e := New(pl.res, p, Options{})
+	if e.proveAtLoopEntry(inner, w) {
+		t.Fatal("a proof out of budget succeeded")
+	}
+	if stop := p.ResourceStop(); stop != solver.StopBudget {
+		t.Fatalf("stop = %q, want %q", stop, solver.StopBudget)
+	}
+	if n := len(e.entries.m); n != 0 {
+		t.Errorf("a tripped loop-entry proof stored %d verdicts", n)
 	}
 }
 
@@ -114,47 +158,34 @@ func TestCrossingUnderTripNotStored(t *testing.T) {
 // is not stored; the same proof without the open check is.
 func TestLoopEntryAfterCycleCutNotStored(t *testing.T) {
 	pl := build(t, nestedLoopAsm, callSiteSpec, "")
-	var inner *cfg.Loop
-	for _, proc := range pl.g.Procs {
-		for _, l := range proc.Loops {
-			if l.Parent != nil {
-				inner = l
-			}
-		}
-	}
-	if inner == nil {
-		t.Fatal("no nested loop")
-	}
+	inner := innerLoop(t, pl)
 	outer := inner.Parent
 	w := expr.Ge(expr.V("%l0"))
-	salt := uint64(inner.Header)
-	key := expr.Fingerprint(w).Mixed(salt)
 
 	free := New(pl.res, solver.New(), Options{})
 	if !free.proveAtLoopEntry(inner, w) {
 		t.Fatalf("%v not proved at the inner loop's entry", w)
 	}
-	if v, ok := free.entryCache.Get(key, salt, w); !ok || !v {
+	if v, ok := stored(free.entries, entryCtx(inner, w)); !ok || !v {
 		t.Fatalf("the uncut proof stored (%v, %v), want (true, true)", v, ok)
 	}
 
 	// The outer entry check the inner proof opens is on W(0) of the
 	// outer synthesis: the inner entry requirement carried back to the
-	// outer header. A twin engine computes it to learn its cache key.
+	// outer header. A twin engine computes it to learn its memo key.
 	twin := New(pl.res, solver.New(), Options{})
 	w0 := expr.Simplify(twin.passRegion(region{proc: pl.g.ProcOf(outer.Header), loop: outer},
 		nil, map[*cfg.Loop]expr.Formula{inner: w}, nil, expr.T()))
-	outerKey := expr.Fingerprint(w0).Mixed(uint64(outer.Header))
 
 	e := New(pl.res, solver.New(), Options{})
-	e.entryActive[outerKey] = true
+	e.entryActive[entryCtx(outer, w0).key()] = true
 	if e.proveAtLoopEntry(inner, w) {
 		t.Fatal("proof succeeded through a cut entry check")
 	}
 	if e.cuts == 0 {
 		t.Fatalf("the outer entry check on %v was never cut", w0)
 	}
-	if _, ok := e.entryCache.Get(key, salt, w); ok {
+	if _, ok := stored(e.entries, entryCtx(inner, w)); ok {
 		t.Error("an entry verdict reached after a cycle cut was stored")
 	}
 }

@@ -3,19 +3,20 @@
 // independent work items: nothing a group proves is an input to another
 // group's proof, only a shortcut for it. The pool partitions them into
 // chunks, and each worker proves every chunk it pulls with one engine of
-// its own, backed by the check's one prover cache and its one query and
-// loop-entry cache. Verdicts are written by index, so the output
-// ordering, verdicts, and violation lists do not depend on the worker
-// count.
+// its own, backed by the check's one prover cache and its one table of
+// memoized loop-entry verdicts. Verdicts are written by index, so the
+// output ordering, verdicts, and violation lists do not depend on the
+// worker count.
 //
-// Determinism argument: every cache a worker shares is keyed by
-// structural formula fingerprints (hits verified against the formula
-// itself) plus, for the engine caches, the proof point, and every
-// engine would store the same verdict for a key — so a hit changes only
-// *when* a verdict is computed, never *what* it is. What a worker keeps
-// to itself is its crossing cache and fresh-variable counter: a chunk
-// may reuse an invariant its worker synthesized for an earlier chunk,
-// and its fresh variables are numbered after that chunk's. Verdicts are
+// Determinism argument: the prover cache a worker shares is keyed by
+// structural formula fingerprints, each hit verified against the
+// formula itself, and the loop-entry memo by (loop header, formula),
+// each hit verified against the stored pair; every engine would store
+// the same verdict for a key, so a hit changes only *when* a verdict is
+// computed, never *what* it is. What a worker keeps to itself is its
+// crossing memo and fresh-variable counter: a chunk may reuse an
+// invariant its worker synthesized for an earlier chunk, and its fresh
+// variables are numbered after that chunk's. Verdicts are
 // therefore identical across settings as long as prover answers do not
 // depend on fresh-variable numbering (TestParallelDeterminism checks
 // this on the Figure 9 programs). At Parallelism 1 the single worker
@@ -69,7 +70,7 @@ type workItem struct {
 
 // chunkTarget is the number of conditions a work chunk aims to cover.
 // Neighboring conditions usually sit in the same loops, so keeping a few
-// of them on one worker's engine (and its formula-valued crossing cache,
+// of them on one worker's engine (and its formula-valued crossing memo,
 // which cannot be shared across engines) amortizes invariant synthesis,
 // while chunks stay small enough to load-balance across workers.
 const chunkTarget = 4
@@ -198,6 +199,7 @@ func (e *Engine) ProveContext(ctx context.Context, conds []*annotate.GlobalCond)
 			e.Stats.Conditions += we.Stats.Conditions
 			e.Stats.Proved += we.Stats.Proved
 			e.Stats.InductionRuns += we.Stats.InductionRuns
+			e.Stats.CacheLookups += we.Stats.CacheLookups
 			e.Stats.CacheHits += we.Stats.CacheHits
 			e.Stats.InductionIters += we.Stats.InductionIters
 			e.Stats.InductionCands += we.Stats.InductionCands
@@ -256,9 +258,9 @@ func (e *Engine) ProveContext(ctx context.Context, conds []*annotate.GlobalCond)
 }
 
 // worker returns the engine of one pool worker: a prover of its own
-// over e's prover cache, e's query and loop-entry caches, and its own
-// crossing cache and fresh-variable counter, which carry over between
-// the chunks the worker proves.
+// over e's prover cache, e's loop-entry memo, and its own crossing memo
+// and fresh-variable counter, which carry over between the chunks the
+// worker proves.
 func (e *Engine) worker(wkObs *obs.Worker) *Engine {
 	p := solver.NewShared(e.P.SharedCache())
 	p.Lim = e.P.Lim
@@ -267,6 +269,6 @@ func (e *Engine) worker(wkObs *obs.Worker) *Engine {
 	p.Ctl = e.P.Ctl
 	we := New(e.Res, p, e.Opts)
 	we.Obs = wkObs
-	we.cache, we.entryCache = e.cache, e.entryCache
+	we.entries = e.entries
 	return we
 }

@@ -147,7 +147,7 @@ func (e *Engine) proveCondBareFirst(c *annotate.GlobalCond, groupProved bool) Co
 	r := CondResult{Cond: c, Proved: groupProved}
 	e.beginCond()
 	attempt := func(kind string, f expr.Formula) bool {
-		ok := e.provedCached(c.Node, c.AfterNode, expr.Simplify(f))
+		ok := e.proveAt(c.Node, c.AfterNode, expr.Simplify(f))
 		r.Attempts = append(r.Attempts, Attempt{Kind: kind, Proved: ok})
 		return ok
 	}

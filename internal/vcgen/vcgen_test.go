@@ -328,13 +328,19 @@ func TestInductionStatsExported(t *testing.T) {
 	}
 }
 
-// TestConditionCache: identical conditions are proven once.
-func TestConditionCache(t *testing.T) {
+// TestRepeatedConditionsSameVerdicts: a condition proved again, after
+// the engine has proved it once and memoized what it could, reaches the
+// same verdict and detail.
+func TestRepeatedConditionsSameVerdicts(t *testing.T) {
 	pl := build(t, fig1Asm, fig1Spec, "")
+	n := len(pl.ann.Conds)
 	conds := append(append([]*annotate.GlobalCond{}, pl.ann.Conds...), pl.ann.Conds...)
-	pl.e.Prove(conds)
-	if pl.e.Stats.CacheHits == 0 {
-		t.Error("duplicated conditions should hit the cache")
+	out := pl.e.Prove(conds)
+	for i := range n {
+		if out[i].Proved != out[n+i].Proved || out[i].Detail != out[n+i].Detail {
+			t.Errorf("condition %q: (%v, %q) first, (%v, %q) again", conds[i].Desc,
+				out[i].Proved, out[i].Detail, out[n+i].Proved, out[n+i].Detail)
+		}
 	}
 }
 
@@ -427,9 +433,9 @@ func TestEntryRefutesOnlyFailingSites(t *testing.T) {
 	for _, g := range reqs {
 		all := true
 		for _, s := range sites {
-			full := New(pl.res, solver.New(), Options{}).provedCached(s.DelayNode, true, g)
+			full := New(pl.res, solver.New(), Options{}).proveAt(s.DelayNode, true, g)
 			all = all && full
-			if New(pl.res, solver.New(), Options{}).entryRefutes(s, g) {
+			if _, ref := New(pl.res, solver.New(), Options{}).entryRefutes(s, g); ref {
 				refuted++
 				if full {
 					t.Errorf("site %d refuted %v on entry, but the full proof holds", s.ID, g)
@@ -445,5 +451,56 @@ func TestEntryRefutesOnlyFailingSites(t *testing.T) {
 	}
 	if held == 0 || refuted == 0 {
 		t.Errorf("%d requirements held, %d sites refuted on entry: want some of each", held, refuted)
+	}
+}
+
+// TestEntryRefutesHandsOverW0: for a requirement at the entry of a
+// callee called from two loops, the W(0) entryRefutes computes at each
+// site — the one proveAtProcEntry starts that site's synthesis from — is
+// the W(0) a fresh twin engine's synthesis at that site computes for
+// itself.
+func TestEntryRefutesHandsOverW0(t *testing.T) {
+	pl := build(t, twoSitesAsm, fig1Spec, "main")
+	var callee *cfg.Proc
+	var sites []*cfg.CallSite
+	for _, s := range pl.g.Sites {
+		if s.Callee >= 0 {
+			callee = pl.g.Procs[s.Callee]
+			sites = append(sites, s)
+		}
+	}
+	if len(sites) != 2 {
+		t.Fatalf("%d internal call sites, want 2", len(sites))
+	}
+	arg := func(name string) expr.LinExpr {
+		r, _ := pl.e.rm.Parse(name)
+		return expr.V(pl.e.rm.Var(r, pl.g.Nodes[callee.Entry].Depth))
+	}
+	reqs := []expr.Formula{
+		expr.GeExpr(arg("%o1"), expr.Constant(0)),
+		expr.LeExpr(arg("%o2").Sub(arg("%o1")), expr.Constant(5)),
+		expr.LtExpr(arg("%o1"), arg("%o2")),
+	}
+	for _, g := range reqs {
+		for _, s := range sites {
+			if pl.g.InnermostLoop(s.DelayNode) == nil {
+				t.Fatalf("site %d lies outside any loop", s.ID)
+			}
+			handed, _ := New(pl.res, solver.New(), Options{}).entryRefutes(s, g)
+			if handed == nil {
+				t.Fatalf("site %d: no W(0) handed over for %v", s.ID, g)
+			}
+			twin := New(pl.res, solver.New(), Options{})
+			var own expr.Formula
+			twin.wlpCapture = &own
+			twin.proveAt(s.DelayNode, true, g)
+			if own == nil {
+				t.Fatalf("site %d: the twin's synthesis computed no W(0) for %v", s.ID, g)
+			}
+			if !expr.Equal(handed, expr.Simplify(own)) {
+				t.Errorf("site %d, requirement %v: handed over W(0) %v, the site's synthesis computes %v",
+					s.ID, g, handed, expr.Simplify(own))
+			}
+		}
 	}
 }
