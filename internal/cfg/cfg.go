@@ -139,15 +139,6 @@ type Loop struct {
 	Exits []Edge
 }
 
-// Depth returns the nesting depth of the loop (1 = outermost).
-func (l *Loop) DepthIn() int {
-	d := 1
-	for p := l.Parent; p != nil; p = p.Parent {
-		d++
-	}
-	return d
-}
-
 // Contains reports whether the loop body contains node id.
 func (l *Loop) Contains(id int) bool { return l.Body[id] }
 

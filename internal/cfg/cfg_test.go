@@ -351,7 +351,7 @@ L2:
 			innerLoop = l
 		}
 	}
-	if innerLoop == nil || innerLoop.DepthIn() != 2 {
+	if innerLoop == nil || innerLoop.Parent.Parent != nil {
 		t.Fatalf("inner loop nesting wrong: %+v", innerLoop)
 	}
 	if len(innerLoop.Body) >= len(innerLoop.Parent.Body) {

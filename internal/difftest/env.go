@@ -9,7 +9,6 @@ import (
 	"mcsafe/internal/isa"
 	"mcsafe/internal/policy"
 	"mcsafe/internal/rtl"
-	"mcsafe/internal/sparc"
 	"mcsafe/internal/types"
 	"mcsafe/internal/typestate"
 )
@@ -57,7 +56,7 @@ func (t *Trap) String() string {
 // analogue of Phase 1's initial annotations.
 type World struct {
 	Regions []Region
-	Regs    map[sparc.Reg]uint32
+	Regs    map[rtl.Reg]uint32
 	Syms    map[string]int64
 
 	mem  map[uint32]byte
@@ -73,8 +72,8 @@ const (
 	// regionGap separates allocations so small out-of-bounds offsets
 	// land in unmapped space instead of a neighbouring region.
 	regionGap = 64
-	// stackTop is the initial %sp; the stack region extends stackSize
-	// below it and a small caller-frame area above it.
+	// stackTop is the initial stack pointer; the stack region extends
+	// stackSize below it and a small caller-frame area above it.
 	stackTop   = 0x7f000000
 	stackSize  = 0x10000
 	stackAbove = 0x400
@@ -85,7 +84,7 @@ const (
 // constraints cannot be satisfied by a small random search.
 func BuildWorld(spec *policy.Spec, r *rand.Rand) (*World, error) {
 	w := &World{
-		Regs: make(map[sparc.Reg]uint32),
+		Regs: make(map[rtl.Reg]uint32),
 		Syms: make(map[string]int64),
 		mem:  make(map[uint32]byte),
 		spec: spec,
@@ -95,12 +94,13 @@ func BuildWorld(spec *policy.Spec, r *rand.Rand) (*World, error) {
 		return nil, err
 	}
 
-	// The stack: the invocation hands the untrusted code a valid %sp.
+	// The stack: the invocation hands the untrusted code a valid stack
+	// pointer.
 	w.Regions = append(w.Regions, Region{
 		Name: "stack", Lo: stackTop - stackSize, Hi: stackTop + stackAbove,
 		Read: true, Write: true,
 	})
-	w.Regs[sparc.SP] = stackTop
+	w.Regs[spec.Arch.Conv().SP] = stackTop
 
 	valAddr, err := w.allocateEntities()
 	if err != nil {
@@ -110,11 +110,11 @@ func BuildWorld(spec *policy.Spec, r *rand.Rand) (*World, error) {
 	// Invocation: registers carry entity addresses and symbol values.
 	for reg, name := range spec.Invoke {
 		if v, ok := valAddr[name]; ok {
-			w.Regs[sparc.Reg(reg)] = v
+			w.Regs[reg] = v
 		} else if v, ok := w.Syms[name]; ok {
-			w.Regs[sparc.Reg(reg)] = uint32(v)
+			w.Regs[reg] = uint32(v)
 		} else {
-			return nil, fmt.Errorf("invoke %s = %s: unknown entity or symbol", sparc.Reg(reg), name)
+			return nil, fmt.Errorf("invoke %s = %s: unknown entity or symbol", spec.Arch.Regs().Name(reg), name)
 		}
 	}
 	return w, nil
@@ -454,7 +454,7 @@ func (w *World) Classify(addr uint32, size int, write bool) *Trap {
 // inconclusive ("steps", or an interpreter fault outside the oracle's
 // trap set, e.g. division by zero on a mutant).
 func (w *World) Exec(prog *isa.Program, maxSteps int) (*Trap, string) {
-	m := sparc.NewMachine(prog)
+	m := isa.NewMachine(prog)
 	for addr, b := range w.mem {
 		m.Mem[addr] = b
 	}
@@ -465,18 +465,18 @@ func (w *World) Exec(prog *isa.Program, maxSteps int) (*Trap, string) {
 	m.OnMem = func(addr uint32, size int, write bool) {
 		if trap == nil {
 			if t := w.Classify(addr, size, write); t != nil {
-				t.PC = m.PC()
+				t.PC = m.PC
 				trap = t
 			}
 		}
 	}
-	m.HostCall = func(name string, mm *sparc.Machine) { w.hostCall(name, mm) }
+	m.HostCall = w.hostCall
 	for n := 0; n < maxSteps; n++ {
 		if err := m.Step(); err != nil {
 			if trap != nil {
 				return trap, ""
 			}
-			if err == sparc.ErrExit {
+			if err == isa.ErrExit {
 				return nil, "exit"
 			}
 			return nil, err.Error()
@@ -492,18 +492,19 @@ func (w *World) Exec(prog *isa.Program, maxSteps int) (*Trap, string) {
 // satisfying the function's postcondition. Any concrete behaviour
 // consistent with the spec is a legal host, so the specific choice only
 // affects coverage, not soundness.
-func (w *World) hostCall(name string, m *sparc.Machine) {
+func (w *World) hostCall(name string, m *isa.Machine) {
 	tf := w.spec.Trusted[name]
 	if tf == nil || tf.Ret == nil {
 		return // void (or unknown) host function: registers untouched
 	}
-	o0 := sparc.Arch.Regs().Var(rtl.Reg(sparc.O0), 0)
+	ret := w.spec.Arch.Conv().RetReg
+	retVar := w.spec.Arch.Regs().Var(ret, 0)
 	for attempt := 0; attempt < 64; attempt++ {
 		v := int64(w.rng.Intn(17))
-		if tf.Post == nil || tf.Post.Eval(map[expr.Var]int64{o0: v}, nil) {
-			m.SetReg(sparc.O0, uint32(v))
+		if tf.Post == nil || tf.Post.Eval(map[expr.Var]int64{retVar: v}, nil) {
+			m.SetReg(ret, uint32(v))
 			return
 		}
 	}
-	m.SetReg(sparc.O0, 1) // safe default for >=/!= style postconditions
+	m.SetReg(ret, 1) // safe default for >=/!= style postconditions
 }

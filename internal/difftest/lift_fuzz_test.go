@@ -88,7 +88,7 @@ func FuzzLift(f *testing.F) {
 		if err != nil {
 			return
 		}
-		m := sparc.NewMachine(prog)
+		m := isa.NewMachine(prog)
 
 		// Deterministic register/memory state from the seed.
 		s := seed
@@ -98,8 +98,8 @@ func FuzzLift(f *testing.F) {
 		}
 		var pre [32]uint32
 		for r := sparc.Reg(1); r < 32; r++ {
-			m.SetReg(r, next())
-			pre[r] = m.Reg(r)
+			m.SetReg(rtl.Reg(r), next())
+			pre[r] = m.Reg(rtl.Reg(r))
 		}
 		mem := map[uint32]byte{}
 		a := pre[i.Rs1]
@@ -121,8 +121,8 @@ func FuzzLift(f *testing.F) {
 			if stepErr != nil {
 				t.Fatalf("sethi: unexpected error %v", stepErr)
 			}
-			if i.Rd != sparc.G0 && m.Reg(i.Rd) != uint32(i.SImm) {
-				t.Fatalf("sethi: rd = %#x, want %#x", m.Reg(i.Rd), uint32(i.SImm))
+			if i.Rd != sparc.G0 && m.Reg(rtl.Reg(i.Rd)) != uint32(i.SImm) {
+				t.Fatalf("sethi: rd = %#x, want %#x", m.Reg(rtl.Reg(i.Rd)), uint32(i.SImm))
 			}
 
 		case i.Op == sparc.OpBranch:
@@ -137,16 +137,16 @@ func FuzzLift(f *testing.F) {
 			case !taken && i.Annul:
 				wantPC = 2 // annulled untaken branch skips the slot
 			}
-			if m.PC() != wantPC {
-				t.Fatalf("branch %v annul=%v: pc = %d, want %d", i.Cond, i.Annul, m.PC(), wantPC)
+			if m.PC != wantPC {
+				t.Fatalf("branch %v annul=%v: pc = %d, want %d", i.Cond, i.Annul, m.PC, wantPC)
 			}
 
 		case i.Op == sparc.OpCall:
 			if stepErr != nil {
 				t.Fatalf("call: unexpected error %v", stepErr)
 			}
-			if m.Reg(sparc.O7) != prog.AddrOf(0) {
-				t.Fatalf("call: %%o7 = %#x, want %#x", m.Reg(sparc.O7), prog.AddrOf(0))
+			if m.Reg(rtl.Reg(sparc.O7)) != prog.AddrOf(0) {
+				t.Fatalf("call: %%o7 = %#x, want %#x", m.Reg(rtl.Reg(sparc.O7)), prog.AddrOf(0))
 			}
 
 		case i.Op == sparc.OpJmpl:
@@ -161,8 +161,8 @@ func FuzzLift(f *testing.F) {
 			if stepErr != nil {
 				t.Fatalf("%v: unexpected error %v", i.Op, stepErr)
 			}
-			if i.Rd != sparc.G0 && m.Reg(i.Rd) != a+b {
-				t.Fatalf("%v: rd = %#x, want %#x", i.Op, m.Reg(i.Rd), a+b)
+			if i.Rd != sparc.G0 && m.Reg(rtl.Reg(i.Rd)) != a+b {
+				t.Fatalf("%v: rd = %#x, want %#x", i.Op, m.Reg(rtl.Reg(i.Rd)), a+b)
 			}
 
 		case i.Op == sparc.OpLdd, i.Op == sparc.OpStd:
@@ -181,8 +181,8 @@ func FuzzLift(f *testing.F) {
 			}
 			signed := i.Op == sparc.OpLdsb || i.Op == sparc.OpLdsh
 			want := rtl.Extend(raw, size, signed)
-			if i.Rd != sparc.G0 && m.Reg(i.Rd) != want {
-				t.Fatalf("%v [%#x]: rd = %#x, want %#x", i.Op, addr, m.Reg(i.Rd), want)
+			if i.Rd != sparc.G0 && m.Reg(rtl.Reg(i.Rd)) != want {
+				t.Fatalf("%v [%#x]: rd = %#x, want %#x", i.Op, addr, m.Reg(rtl.Reg(i.Rd)), want)
 			}
 
 		case i.IsStore():
@@ -209,8 +209,8 @@ func FuzzLift(f *testing.F) {
 			if stepErr != nil {
 				t.Fatalf("%v: unexpected error %v", i.Op, stepErr)
 			}
-			if i.Rd != sparc.G0 && m.Reg(i.Rd) != want {
-				t.Fatalf("%v: rd = %#x, want %#x", i.Op, m.Reg(i.Rd), want)
+			if i.Rd != sparc.G0 && m.Reg(rtl.Reg(i.Rd)) != want {
+				t.Fatalf("%v: rd = %#x, want %#x", i.Op, m.Reg(rtl.Reg(i.Rd)), want)
 			}
 			if i.SetsCC() {
 				wantN := want&0x80000000 != 0

@@ -2,66 +2,91 @@ package difftest
 
 import (
 	"math/rand"
+	"os"
 	"testing"
 
 	"mcsafe/internal/isa"
 	"mcsafe/internal/policy"
 	"mcsafe/internal/progs"
-	"mcsafe/internal/sparc"
 )
 
 // TestDiffOracleDetects proves the dynamic classifier is not vacuously
 // permissive: three hand-written violations of the Sum policy — an
 // out-of-bounds read, a store to a read-only region, and a misaligned
-// word load — must each produce the expected trap kind. Without this
+// word load — must each produce the expected trap kind, on SPARC and
+// on RV32I (under the same policy restated for %a0/%a1). Without this
 // test, a classifier that never fires would pass every soundness sweep.
 func TestDiffOracleDetects(t *testing.T) {
-	spec, err := policy.Parse(progs.Sum().Spec, sparc.Arch)
+	rvSpec, err := os.ReadFile("../../testdata/rv32i_sum.spec")
 	if err != nil {
 		t.Fatal(err)
 	}
+	specs := map[string]string{"sparc": progs.Sum().Spec, "rv32i": string(rvSpec)}
 	cases := []struct {
-		name string
-		src  string
-		kind string
+		arch, name string
+		src        string
+		kind       string
 	}{
-		{"oob-read", `
+		{"sparc", "oob-read", `
   sll %o1,2,%g2
   ld [%o0+%g2],%g1   ! arr[n]: one past the end
   retl
   nop
 `, "oob"},
-		{"readonly-write", `
+		{"sparc", "readonly-write", `
   st %g0,[%o0]       ! policy grants V int ro only
   retl
   nop
 `, "perm"},
-		{"misaligned-load", `
+		{"sparc", "misaligned-load", `
   ld [%o0+2],%g1     ! word load at alignment 2
   retl
   nop
 `, "misalign"},
+		{"rv32i", "oob-read", `
+  slli a2, a1, 2
+  add a2, a0, a2
+  lw a3, 0(a2)
+  ret
+`, "oob"},
+		{"rv32i", "readonly-write", `
+  sw zero, 0(a0)
+  ret
+`, "perm"},
+		{"rv32i", "misaligned-load", `
+  lw a3, 2(a0)
+  ret
+`, "misalign"},
 	}
 	for _, tc := range cases {
-		prog, err := sparc.Arch.Assemble(tc.src, isa.AsmOptions{
+		name := tc.arch + "/" + tc.name
+		arch, err := isa.Get(tc.arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := policy.Parse(specs[tc.arch], arch)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		prog, err := arch.Assemble(tc.src, isa.AsmOptions{
 			DataSyms: spec.DataSyms(),
 			Externs:  spec.TrustedNames(),
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		rng := rand.New(rand.NewSource(5))
 		world, err := BuildWorld(spec, rng)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		trap, reason := world.Exec(prog, 1000)
 		if trap == nil {
-			t.Errorf("%s: no trap (run ended: %s)", tc.name, reason)
+			t.Errorf("%s: no trap (run ended: %s)", name, reason)
 			continue
 		}
 		if trap.Kind != tc.kind {
-			t.Errorf("%s: trap kind %q, want %q (%s)", tc.name, trap.Kind, tc.kind, trap)
+			t.Errorf("%s: trap kind %q, want %q (%s)", name, trap.Kind, tc.kind, trap)
 		}
 	}
 }

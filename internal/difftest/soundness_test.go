@@ -5,38 +5,64 @@ import (
 	"os"
 	"testing"
 
+	"mcsafe/internal/isa"
+	"mcsafe/internal/policy"
 	"mcsafe/internal/progs"
+	"mcsafe/internal/riscv"
 )
 
 // TestDiffInterpBaseline builds concrete worlds for every benchmark's
-// policy and executes the unmutated program in them. Checker-approved
-// programs (WantSafe) must never trap: a trap here means either the
-// checker or the oracle's trap classifier is wrong. The two known-unsafe
-// programs are executed too — their behaviour is logged, not asserted,
-// since whether the latent violation fires depends on the drawn world.
+// policy, and for the RV32I summation in testdata, and executes the
+// unmutated program in them. Checker-approved programs (WantSafe, and
+// the RV32I summation) must never trap: a trap here means either the
+// checker or the oracle's trap classifier is wrong. The two
+// known-unsafe programs are executed too — their behaviour is logged,
+// not asserted, since whether the latent violation fires depends on the
+// drawn world.
 func TestDiffInterpBaseline(t *testing.T) {
+	run := func(name string, prog *isa.Program, spec *policy.Spec, wantSafe bool) {
+		rng := rand.New(rand.NewSource(99))
+		for wi := 0; wi < 4; wi++ {
+			world, err := BuildWorld(spec, rng)
+			if err != nil {
+				t.Fatalf("%s: building world %d: %v", name, wi, err)
+			}
+			trap, reason := world.Exec(prog, 500000)
+			switch {
+			case trap != nil && wantSafe:
+				t.Errorf("%s: checker-approved program trapped in world %d: %s", name, wi, trap)
+			case trap != nil:
+				t.Logf("%s (known unsafe): oracle observed %s in world %d", name, trap, wi)
+			case reason != "exit" && reason != "steps":
+				t.Logf("%s: world %d inconclusive: %s", name, wi, reason)
+			}
+		}
+	}
 	for _, b := range progs.All() {
 		prog, spec, err := b.Build()
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		rng := rand.New(rand.NewSource(99))
-		for wi := 0; wi < 4; wi++ {
-			world, err := BuildWorld(spec, rng)
-			if err != nil {
-				t.Fatalf("%s: building world %d: %v", b.Name, wi, err)
-			}
-			trap, reason := world.Exec(prog, 500000)
-			switch {
-			case trap != nil && b.WantSafe:
-				t.Errorf("%s: checker-approved program trapped in world %d: %s", b.Name, wi, trap)
-			case trap != nil:
-				t.Logf("%s (known unsafe): oracle observed %s in world %d", b.Name, trap, wi)
-			case reason != "exit" && reason != "steps":
-				t.Logf("%s: world %d inconclusive: %s", b.Name, wi, reason)
-			}
-		}
+		run(b.Name, prog, spec, b.WantSafe)
 	}
+
+	asm, err := os.ReadFile("../../testdata/rv32i_sum.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := os.ReadFile("../../testdata/rv32i_sum.spec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := policy.Parse(string(text), riscv.Arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := riscv.Arch.Assemble(string(asm), isa.AsmOptions{Entry: "sum"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("rv32i_sum", prog, spec, true)
 }
 
 // TestDiffSoundness is the end-to-end oracle: mutate the evaluation

@@ -290,8 +290,10 @@ const internShards = 16
 // Interner is a per-checker intern table mapping formula fingerprints
 // to their canonical strings, so String() is computed once per unique
 // term no matter how many observer spans or Explain attempts mention
-// it. It is concurrency-safe (the Phase 5 worker pool shares one) and a
-// nil *Interner degrades to plain f.String().
+// it. Each string is stored beside its formula, and a fingerprint match
+// counts as a hit only when the formulas are Equal, so a collision
+// renders the probe afresh. It is concurrency-safe (the Phase 5 worker
+// pool shares one) and a nil *Interner degrades to plain f.String().
 type Interner struct {
 	shards [internShards]internShard
 	terms  atomic.Int64
@@ -300,20 +302,26 @@ type Interner struct {
 
 type internShard struct {
 	mu sync.RWMutex
-	m  map[FP]string
+	m  map[FP]internEntry
+}
+
+// internEntry is one interned term: the formula and its rendering.
+type internEntry struct {
+	f Formula
+	s string
 }
 
 // NewInterner returns an empty intern table ready for concurrent use.
 func NewInterner() *Interner {
 	in := &Interner{}
 	for i := range in.shards {
-		in.shards[i].m = make(map[FP]string)
+		in.shards[i].m = make(map[FP]internEntry)
 	}
 	return in
 }
 
 // StringOf returns f.String(), computed at most once per unique
-// fingerprint for the lifetime of the table.
+// formula for the lifetime of the table.
 func (in *Interner) StringOf(f Formula) string {
 	if in == nil {
 		return f.String()
@@ -321,25 +329,27 @@ func (in *Interner) StringOf(f Formula) string {
 	fp := Fingerprint(f)
 	s := &in.shards[fp.Lo&(internShards-1)]
 	s.mu.RLock()
-	str, ok := s.m[fp]
+	e, ok := s.m[fp]
 	s.mu.RUnlock()
-	if ok {
-		in.hits.Add(1)
-		return str
-	}
-	// Render outside the lock; a racing renderer of the same term just
-	// does the same work and the first writer's string wins.
-	str = f.String()
-	s.mu.Lock()
-	if prev, ok := s.m[fp]; ok {
+	if !ok {
+		// Render outside the lock; a racing renderer of the same term
+		// just does the same work and the first writer's entry wins.
+		str := f.String()
+		s.mu.Lock()
+		if e, ok = s.m[fp]; !ok {
+			s.m[fp] = internEntry{f: f, s: str}
+		}
 		s.mu.Unlock()
-		in.hits.Add(1)
-		return prev
+		if !ok {
+			in.terms.Add(1)
+			return str
+		}
 	}
-	s.m[fp] = str
-	s.mu.Unlock()
-	in.terms.Add(1)
-	return str
+	if !Equal(e.f, f) {
+		return f.String() // a fingerprint collision: not this formula's text
+	}
+	in.hits.Add(1)
+	return e.s
 }
 
 // Terms reports the number of unique terms interned so far.

@@ -182,6 +182,25 @@ func TestInternerPreservesString(t *testing.T) {
 	}
 }
 
+// TestInternerVerifiesHits: a fingerprint match is a hit only when the
+// stored formula is the probe. Another formula's text planted under the
+// probe's fingerprint must not be returned, and counts no hit.
+func TestInternerVerifiesHits(t *testing.T) {
+	probe := GeExpr(V("x"), Constant(1))
+	other := GeExpr(V("y"), Constant(2))
+	in := NewInterner()
+	fp := Fingerprint(probe)
+	in.shards[fp.Lo&(internShards-1)].m[fp] = internEntry{f: other, s: other.String()}
+	for i := 0; i < 2; i++ {
+		if got, want := in.StringOf(probe), probe.String(); got != want {
+			t.Fatalf("StringOf = %q under a colliding entry, want %q", got, want)
+		}
+	}
+	if in.Hits() != 0 {
+		t.Errorf("a colliding entry counted %d hits", in.Hits())
+	}
+}
+
 // TestInternerConcurrent hammers one intern table from many goroutines
 // over an overlapping corpus — the shape of the Phase 5 worker pool
 // under -parallel — and checks every returned string. Run with -race

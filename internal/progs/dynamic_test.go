@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"mcsafe/internal/isa"
+	"mcsafe/internal/rtl"
 	"mcsafe/internal/sparc"
 )
 
@@ -58,7 +59,7 @@ func TestDynamicSum(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for i := 0; i < 50; i++ {
 		n := 1 + r.Intn(12)
-		m := sparc.NewMachine(prog)
+		m := isa.NewMachine(prog)
 		var want int32
 		for j := 0; j < n; j++ {
 			v := int32(r.Intn(100) - 50)
@@ -66,12 +67,12 @@ func TestDynamicSum(t *testing.T) {
 			m.Store32(arrBase+uint32(4*j), uint32(v))
 		}
 		m.OnMem = watcher(t, "Sum", []window{{arrBase, arrBase + uint32(4*n), false}})
-		m.SetReg(sparc.O0, arrBase)
-		m.SetReg(sparc.O0+1, uint32(n))
+		m.SetReg(rtl.Reg(sparc.O0), arrBase)
+		m.SetReg(rtl.Reg(sparc.O0+1), uint32(n))
 		if err := m.Run(100000); err != nil {
 			t.Fatal(err)
 		}
-		if got := int32(m.Reg(sparc.O0)); got != want {
+		if got := int32(m.Reg(rtl.Reg(sparc.O0))); got != want {
 			t.Fatalf("sum = %d, want %d", got, want)
 		}
 	}
@@ -82,15 +83,15 @@ func runSort(t *testing.T, b *Benchmark, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	for i := 0; i < 30; i++ {
 		n := 1 + r.Intn(16)
-		m := sparc.NewMachine(prog)
+		m := isa.NewMachine(prog)
 		in := make([]int, n)
 		for j := 0; j < n; j++ {
 			in[j] = r.Intn(200) - 100
 			m.Store32(arrBase+uint32(4*j), uint32(int32(in[j])))
 		}
 		m.OnMem = watcher(t, b.Name, []window{{arrBase, arrBase + uint32(4*n), true}})
-		m.SetReg(sparc.O0, arrBase)
-		m.SetReg(sparc.O0+1, uint32(n))
+		m.SetReg(rtl.Reg(sparc.O0), arrBase)
+		m.SetReg(rtl.Reg(sparc.O0+1), uint32(n))
 		if err := m.Run(2000000); err != nil {
 			t.Fatalf("%s n=%d: %v", b.Name, n, err)
 		}
@@ -125,7 +126,7 @@ func TestDynamicBtree(t *testing.T) {
 	prog := assemble(t, Btree())
 	// Three nodes: root(key=10) -> next(key=20); root.child(key=5).
 	node := func(i int) uint32 { return auxBase + uint32(16*i) }
-	m := sparc.NewMachine(prog)
+	m := isa.NewMachine(prog)
 	lay := func(i int, key, val int32, next, child uint32) {
 		m.Store32(node(i)+0, uint32(key))
 		m.Store32(node(i)+4, uint32(val))
@@ -136,18 +137,18 @@ func TestDynamicBtree(t *testing.T) {
 	lay(1, 20, 200, 0, 0)
 	lay(2, 5, 50, 0, 0)
 	m.OnMem = watcher(t, "Btree", []window{{auxBase, auxBase + 48, false}})
-	m.SetReg(sparc.O0, node(0))
-	m.SetReg(sparc.O0+1, 20) // search for key 20: along the next chain
+	m.SetReg(rtl.Reg(sparc.O0), node(0))
+	m.SetReg(rtl.Reg(sparc.O0+1), 20) // search for key 20: along the next chain
 	if err := m.Run(100000); err != nil {
 		t.Fatal(err)
 	}
-	if got := int32(m.Reg(sparc.O0)); got != 200 {
+	if got := int32(m.Reg(rtl.Reg(sparc.O0))); got != 200 {
 		t.Fatalf("lookup(20) = %d, want 200", got)
 	}
 
 	// A missing key returns -1 and still stays in bounds.
-	m2 := sparc.NewMachine(prog)
-	lay2 := func(mm *sparc.Machine, i int, key, val int32, next, child uint32) {
+	m2 := isa.NewMachine(prog)
+	lay2 := func(mm *isa.Machine, i int, key, val int32, next, child uint32) {
 		mm.Store32(node(i)+0, uint32(key))
 		mm.Store32(node(i)+4, uint32(val))
 		mm.Store32(node(i)+8, next)
@@ -157,12 +158,12 @@ func TestDynamicBtree(t *testing.T) {
 	lay2(m2, 1, 20, 200, 0, 0)
 	lay2(m2, 2, 5, 50, 0, 0)
 	m2.OnMem = watcher(t, "Btree", []window{{auxBase, auxBase + 48, false}})
-	m2.SetReg(sparc.O0, node(0))
-	m2.SetReg(sparc.O0+1, 7)
+	m2.SetReg(rtl.Reg(sparc.O0), node(0))
+	m2.SetReg(rtl.Reg(sparc.O0+1), 7)
 	if err := m2.Run(100000); err != nil {
 		t.Fatal(err)
 	}
-	if got := int32(m2.Reg(sparc.O0)); got != -1 {
+	if got := int32(m2.Reg(rtl.Reg(sparc.O0))); got != -1 {
 		t.Fatalf("lookup(7) = %d, want -1", got)
 	}
 }
@@ -173,15 +174,15 @@ func TestDynamicBtree(t *testing.T) {
 // predicted.
 func TestDynamicStackSmashOverflows(t *testing.T) {
 	prog := assemble(t, StackSmashing())
-	m := sparc.NewMachine(prog)
+	m := isa.NewMachine(prog)
 	const n = 24 // longer than the 16-word buffer
 	for j := 0; j < n; j++ {
 		m.Store32(inBase+uint32(4*j), uint32(j+1))
 	}
 	const stackTop = 0x7ff00000
-	m.SetReg(sparc.SP, stackTop)
-	m.SetReg(sparc.O0, inBase)
-	m.SetReg(sparc.O0+1, n)
+	m.SetReg(rtl.Reg(sparc.SP), stackTop)
+	m.SetReg(rtl.Reg(sparc.O0), inBase)
+	m.SetReg(rtl.Reg(sparc.O0+1), n)
 
 	// buf lives at [fp-96, fp-32) after the save; watch for stores
 	// beyond it. fp = caller's sp.
@@ -208,7 +209,7 @@ func TestDynamicMD5(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	for i := 0; i < 5; i++ {
 		mwords := r.Intn(40)
-		m := sparc.NewMachine(prog)
+		m := isa.NewMachine(prog)
 		const ctx = auxBase
 		const blk = auxBase + 0x100
 		for j := 0; j < 5; j++ {
@@ -222,11 +223,11 @@ func TestDynamicMD5(t *testing.T) {
 			{blk, blk + 64, true},
 			{inBase, inBase + uint32(4*mwords), false},
 		})
-		m.SetReg(sparc.SP, 0x7ff00000)
-		m.SetReg(sparc.O0, ctx)
-		m.SetReg(sparc.O0+1, blk)
-		m.SetReg(sparc.O0+2, inBase)
-		m.SetReg(sparc.O0+3, uint32(mwords))
+		m.SetReg(rtl.Reg(sparc.SP), 0x7ff00000)
+		m.SetReg(rtl.Reg(sparc.O0), ctx)
+		m.SetReg(rtl.Reg(sparc.O0+1), blk)
+		m.SetReg(rtl.Reg(sparc.O0+2), inBase)
+		m.SetReg(rtl.Reg(sparc.O0+3), uint32(mwords))
 		if err := m.Run(5000000); err != nil {
 			t.Fatalf("m=%d: %v", mwords, err)
 		}

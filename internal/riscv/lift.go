@@ -20,6 +20,8 @@ func Lift(i Insn) []rtl.Effect {
 	rs1 := rtl.RegX{R: rtl.Reg(i.Rs1)}
 	rs2 := rtl.RegX{R: rtl.Reg(i.Rs2)}
 	imm := rtl.Const{V: int64(i.Imm)}
+	// jal and jalr link the address of the next instruction.
+	link := rtl.PC{Off: 4}
 	switch i.Op {
 	case OpLui:
 		return []rtl.Effect{rtl.Assign{Dst: rd, Src: rtl.Const{V: int64(i.Imm)}}}
@@ -36,14 +38,14 @@ func Lift(i Insn) []rtl.Effect {
 			return []rtl.Effect{rtl.Branch{Cond: rtl.CondAlways, Disp: i.Disp}}
 		}
 		return []rtl.Effect{
-			rtl.Assign{Dst: rd, Src: rtl.PC{}},
+			rtl.Assign{Dst: rd, Src: link},
 			rtl.Call{Disp: i.Disp},
 		}
 
 	case OpJalr:
 		effs := []rtl.Effect{}
 		if i.Rd != Zero {
-			effs = append(effs, rtl.Assign{Dst: rd, Src: rtl.PC{}})
+			effs = append(effs, rtl.Assign{Dst: rd, Src: link})
 		}
 		return append(effs, rtl.Jump{Target: rtl.Bin{Op: rtl.Add, A: rs1, B: imm}})
 

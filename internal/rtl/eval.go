@@ -170,7 +170,7 @@ func EvalExpr(e Expr, reg func(Reg) uint32, pc uint32) (uint32, error) {
 		}
 		return reg(x.R), nil
 	case PC:
-		return pc, nil
+		return pc + uint32(x.Off), nil
 	case Bin:
 		a, err := EvalExpr(x.A, reg, pc)
 		if err != nil {

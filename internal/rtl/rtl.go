@@ -75,9 +75,10 @@ type Const struct{ V int64 }
 // RegX reads a register in the instruction's entry window.
 type RegX struct{ R Reg }
 
-// PC is the machine address of the current instruction (used by call
-// and jump-and-link effects to materialize the return address).
-type PC struct{}
+// PC is the machine address of the current instruction plus Off (used
+// by call and jump-and-link effects to materialize the return address:
+// SPARC links the call's own address, RV32I the next instruction's).
+type PC struct{ Off int64 }
 
 // Bin applies a BinOp to two sub-expressions.
 type Bin struct {
@@ -92,7 +93,12 @@ func (Bin) isExpr()   {}
 
 func (c Const) String() string { return fmt.Sprintf("%d", c.V) }
 func (r RegX) String() string  { return fmt.Sprintf("r%d", int(r.R)) }
-func (PC) String() string      { return "pc" }
+func (p PC) String() string {
+	if p.Off == 0 {
+		return "pc"
+	}
+	return fmt.Sprintf("pc%+d", p.Off)
+}
 func (b Bin) String() string {
 	return fmt.Sprintf("(%s %s %s)", b.Op, b.A, b.B)
 }

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"mcsafe/internal/expr"
 	"mcsafe/internal/faults"
@@ -96,38 +95,4 @@ func (c *ShardedCache) Len() int {
 		s.mu.RUnlock()
 	}
 	return n
-}
-
-// AtomicStats accumulates Stats from provers running on concurrent
-// goroutines. Workers Add their prover's Stats as they finish; the
-// coordinator reads the merged totals with Snapshot.
-type AtomicStats struct {
-	validQueries     atomic.Int64
-	cacheHits        atomic.Int64
-	eliminations     atomic.Int64
-	dnfBlowups       atomic.Int64
-	fmPrefixReuses   atomic.Int64
-	earlyUnsatPrunes atomic.Int64
-}
-
-// Add merges one prover's counters into the totals.
-func (a *AtomicStats) Add(s Stats) {
-	a.validQueries.Add(int64(s.ValidQueries))
-	a.cacheHits.Add(int64(s.CacheHits))
-	a.eliminations.Add(int64(s.Eliminations))
-	a.dnfBlowups.Add(int64(s.DNFBlowups))
-	a.fmPrefixReuses.Add(int64(s.FMPrefixReuses))
-	a.earlyUnsatPrunes.Add(int64(s.EarlyUnsatPrunes))
-}
-
-// Snapshot returns the merged totals.
-func (a *AtomicStats) Snapshot() Stats {
-	return Stats{
-		ValidQueries:     int(a.validQueries.Load()),
-		CacheHits:        int(a.cacheHits.Load()),
-		Eliminations:     int(a.eliminations.Load()),
-		DNFBlowups:       int(a.dnfBlowups.Load()),
-		FMPrefixReuses:   int(a.fmPrefixReuses.Load()),
-		EarlyUnsatPrunes: int(a.earlyUnsatPrunes.Load()),
-	}
 }

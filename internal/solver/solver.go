@@ -20,21 +20,14 @@ import (
 	"mcsafe/internal/obs"
 )
 
-// Limits bound the work the prover will do before giving a conservative
-// answer.
-type Limits struct {
-	MaxFMConstraints int // constraint-count cap during elimination
-	MaxResidueCombos int // residue enumeration cap for congruences
-	MaxDNFClauses    int
-}
-
-// DefaultLimits are generous enough for all formulas the checker
-// generates for the paper's 13 evaluation programs.
-var DefaultLimits = Limits{
-	MaxFMConstraints: 4096,
-	MaxResidueCombos: 1 << 16,
-	MaxDNFClauses:    expr.MaxDNFClauses,
-}
+// The limits bound the work the prover will do before giving a
+// conservative answer. They are generous enough for all formulas the
+// checker generates for the paper's 13 evaluation programs.
+const (
+	MaxFMConstraints = 4096               // constraint-count cap during elimination
+	MaxResidueCombos = 1 << 16            // residue enumeration cap for congruences
+	MaxDNFClauses    = expr.MaxDNFClauses // clause cap of a DNF expansion
+)
 
 // Stats counts prover activity, reported by the benchmark harness and
 // the observability layer.
@@ -59,6 +52,16 @@ type Stats struct {
 	EarlyUnsatPrunes int
 }
 
+// Add adds o's counts to s.
+func (s *Stats) Add(o Stats) {
+	s.ValidQueries += o.ValidQueries
+	s.CacheHits += o.CacheHits
+	s.Eliminations += o.Eliminations
+	s.DNFBlowups += o.DNFBlowups
+	s.FMPrefixReuses += o.FMPrefixReuses
+	s.EarlyUnsatPrunes += o.EarlyUnsatPrunes
+}
+
 // Prover decides validity of formulas. A Prover caches results by
 // structural fingerprint (the caching enhancement of Section 5.2.3,
 // keyed by expr.FP instead of rebuilding the canonical string per
@@ -68,7 +71,6 @@ type Stats struct {
 // concurrent goroutines may share one ShardedCache (see NewShared),
 // because a verdict is a pure function of the formula.
 type Prover struct {
-	Lim   Limits
 	Stats Stats
 	// Obs, when non-nil, records one span per solved (cache-missing)
 	// validity query. Like the prover itself it is single-owner: the
@@ -111,17 +113,15 @@ type clauseMemoEntry struct {
 	unsat bool
 }
 
-// New returns a prover with default limits and a result cache of its
-// own.
+// New returns a prover with a result cache of its own.
 func New() *Prover {
 	return NewShared(NewShardedCache())
 }
 
-// NewShared returns a prover with default limits backed by a
-// concurrency-safe formula cache that may be shared with other provers
-// running on other goroutines.
+// NewShared returns a prover backed by a concurrency-safe formula cache
+// that may be shared with other provers running on other goroutines.
 func NewShared(c *ShardedCache) *Prover {
-	return &Prover{Lim: DefaultLimits, cache: c}
+	return &Prover{cache: c}
 }
 
 // SharedCache returns the formula cache backing this prover, for
@@ -464,7 +464,7 @@ func (w *dnfWalker) spend() bool {
 		return true
 	}
 	w.visits++
-	if w.visits > w.p.Lim.MaxDNFClauses {
+	if w.visits > MaxDNFClauses {
 		w.blowup = true
 		return false
 	}
@@ -831,7 +831,7 @@ func (p *Prover) eliminateFromClause(c expr.Clause, v expr.Var, overApprox bool)
 			}
 		}
 	}
-	if len(lowers)*len(uppers) > p.Lim.MaxFMConstraints {
+	if len(lowers)*len(uppers) > MaxFMConstraints {
 		if overApprox {
 			// Drop all constraints on v: weaker, but allowed.
 			return rest, true
@@ -983,7 +983,7 @@ func (p *Prover) congruencesUnsat(divs expr.Clause) bool {
 	total := int64(1)
 	for range vars {
 		total *= lcm
-		if total > int64(p.Lim.MaxResidueCombos) {
+		if total > MaxResidueCombos {
 			return false
 		}
 	}
@@ -1068,7 +1068,7 @@ func (p *Prover) ineqsUnsat(ineqs expr.Clause) bool {
 			}
 		}
 		next, _ := p.eliminateFromClause(work, bestV, true)
-		if len(next) > p.Lim.MaxFMConstraints {
+		if len(next) > MaxFMConstraints {
 			return false
 		}
 		// Constant-fold.

@@ -4,16 +4,19 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mcsafe/internal/isa"
+	"mcsafe/internal/rtl"
 )
 
-// legacyMachine is a frozen copy of the interpreter as it existed before
-// instruction semantics moved to the RTL lifter: a hand-written switch
-// per opcode. It exists only as a differential reference — the RTL-driven
-// Machine must agree with it on every reachable state. It executes the
-// native decode of the program's words, never the lifted RTL.
+// legacyMachine is a frozen copy of the SPARC interpreter as it existed
+// before instruction semantics moved to the RTL lifter: a hand-written
+// switch per opcode. It exists only as a differential reference — the
+// RTL-driven isa.Machine must agree with it on every reachable state. It
+// executes the native decode of the program's words, never the lifted
+// RTL.
 type legacyMachine struct {
 	prog        *isa.Program
 	insns       []Insn
@@ -26,6 +29,10 @@ type legacyMachine struct {
 	steps       int
 	pendingHost string
 }
+
+// exitPC is the entry frame's sentinel return index, as isa.Machine
+// reports it in PC once the program has returned.
+const exitPC = -1
 
 func newLegacyMachine(t *testing.T, p *isa.Program) *legacyMachine {
 	return &legacyMachine{
@@ -130,7 +137,7 @@ func (m *legacyMachine) cond(c Cond) bool {
 
 func (m *legacyMachine) step() error {
 	if m.pc == exitPC {
-		return ErrExit
+		return isa.ErrExit
 	}
 	if m.pc < 0 || m.pc >= len(m.prog.Insns) {
 		return fmt.Errorf("sparc: PC %d out of range", m.pc)
@@ -376,12 +383,12 @@ func TestInterpMatchesLegacy(t *testing.T) {
 			t.Fatalf("prog %d: FromWords: %v", p, err)
 		}
 
-		m := NewMachine(prog)
+		m := isa.NewMachine(prog)
 		l := newLegacyMachine(t, prog)
 		// Identical random initial state.
 		for r := Reg(1); r < 32; r++ {
 			v := rng.Uint32()
-			m.SetReg(r, v)
+			m.SetReg(rtl.Reg(r), v)
 			l.set(r, v)
 		}
 		for a := 0; a < 16; a++ {
@@ -399,21 +406,25 @@ func TestInterpMatchesLegacy(t *testing.T) {
 					p, s, errM, errL, prog.Disassemble())
 			}
 			if errM != nil {
-				if (errM == ErrExit) != (errL == ErrExit) {
+				if (errM == isa.ErrExit) != (errL == isa.ErrExit) {
 					t.Fatalf("prog %d step %d: exit mismatch: rtl %v, legacy %v",
 						p, s, errM, errL)
 				}
 				break
 			}
-			if m.pc != l.pc || m.npc != l.npc || m.cwp != l.cwp ||
+			if m.PC != l.pc || m.NPC != l.npc || m.CWP != l.cwp ||
 				m.N != l.n || m.Z != l.z || m.V != l.v || m.C != l.c ||
-				m.pendingHost != l.pendingHost || m.Steps != l.steps {
+				m.Host != l.pendingHost || m.Steps != l.steps {
 				t.Fatalf("prog %d step %d: control state diverged\nrtl: pc=%d npc=%d cwp=%d nzvc=%v%v%v%v host=%q\nleg: pc=%d npc=%d cwp=%d nzvc=%v%v%v%v host=%q\n%s",
-					p, s, m.pc, m.npc, m.cwp, m.N, m.Z, m.V, m.C, m.pendingHost,
+					p, s, m.PC, m.NPC, m.CWP, m.N, m.Z, m.V, m.C, m.Host,
 					l.pc, l.npc, l.cwp, l.n, l.z, l.v, l.c, l.pendingHost,
 					prog.Disassemble())
 			}
-			if m.globals != l.globals || !reflect.DeepEqual(m.windows, l.windows) {
+			same := [8]uint32(m.Regs[:8]) == l.globals && len(m.Windows) == len(l.windows)
+			for w := 0; same && w < len(l.windows); w++ {
+				same = slices.Equal(m.Windows[w], l.windows[w][:])
+			}
+			if !same {
 				t.Fatalf("prog %d step %d: registers diverged\n%s", p, s, prog.Disassemble())
 			}
 			if !reflect.DeepEqual(m.Mem, l.mem) {

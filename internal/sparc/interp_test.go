@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mcsafe/internal/isa"
+	"mcsafe/internal/rtl"
 )
 
 // runFig1 executes the Figure 1 array-summation code concretely.
@@ -14,17 +15,17 @@ func runFig1(t *testing.T, arr []int32) int32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMachine(p)
+	m := isa.NewMachine(p)
 	const base = 0x40000
 	for i, v := range arr {
 		m.Store32(base+uint32(4*i), uint32(v))
 	}
-	m.SetReg(O0, base)
-	m.SetReg(O0+1, uint32(len(arr)))
+	m.SetReg(rtl.Reg(O0), base)
+	m.SetReg(rtl.Reg(O0+1), uint32(len(arr)))
 	if err := m.Run(100000); err != nil {
 		t.Fatal(err)
 	}
-	return int32(m.Reg(O0))
+	return int32(m.Reg(rtl.Reg(O0)))
 }
 
 // TestInterpFig1Sum: the decoded binary really sums the array — the
@@ -75,7 +76,7 @@ func TestInterpMemorySafetyOfVerifiedSum(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for i := 0; i < 100; i++ {
 		n := 1 + r.Intn(16)
-		m := NewMachine(p)
+		m := isa.NewMachine(p)
 		const base = 0x40000
 		lo, hi := uint32(base), uint32(base+4*n)
 		m.OnMem = func(addr uint32, size int, write bool) {
@@ -92,8 +93,8 @@ func TestInterpMemorySafetyOfVerifiedSum(t *testing.T) {
 		for j := 0; j < n; j++ {
 			m.Store32(base+uint32(4*j), uint32(r.Intn(100)))
 		}
-		m.SetReg(O0, base)
-		m.SetReg(O0+1, uint32(n))
+		m.SetReg(rtl.Reg(O0), base)
+		m.SetReg(rtl.Reg(O0+1), uint32(n))
 		if err := m.Run(100000); err != nil {
 			t.Fatal(err)
 		}
@@ -119,13 +120,13 @@ le:
 		t.Fatal(err)
 	}
 	run := func(a, b int32) uint32 {
-		m := NewMachine(p)
-		m.SetReg(O0, uint32(a))
-		m.SetReg(O0+1, uint32(b))
+		m := isa.NewMachine(p)
+		m.SetReg(rtl.Reg(O0), uint32(a))
+		m.SetReg(rtl.Reg(O0+1), uint32(b))
 		if err := m.Run(1000); err != nil {
 			t.Fatal(err)
 		}
-		return m.Reg(O0 + 2)
+		return m.Reg(rtl.Reg(O0 + 2))
 	}
 	if run(5, 3) != 1 {
 		t.Error("5 > 3 should take the greater path")
@@ -162,13 +163,13 @@ dbl:
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMachine(p)
+	m := isa.NewMachine(p)
 	if err := m.Run(1000); err != nil {
 		t.Fatal(err)
 	}
 	// dbl(20, 11) = 51; + 41 = 92, returned in the caller's %i0... which
 	// after main's restore is the entry window's %o0.
-	if got := m.Reg(O0); got != 92 {
+	if got := m.Reg(rtl.Reg(O0)); got != 92 {
 		t.Errorf("result = %d, want 92", got)
 	}
 }
@@ -185,11 +186,11 @@ over:
 	nop
 `
 	p, _ := Arch.Assemble(src, isa.AsmOptions{})
-	m := NewMachine(p)
+	m := isa.NewMachine(p)
 	if err := m.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	if m.Reg(O0+2) != 0 {
+	if m.Reg(rtl.Reg(O0+2)) != 0 {
 		t.Error("ba,a executed its delay slot")
 	}
 
@@ -204,12 +205,12 @@ over:
 `
 	p2, _ := Arch.Assemble(src2, isa.AsmOptions{})
 	run := func(o0 uint32) uint32 {
-		m := NewMachine(p2)
-		m.SetReg(O0, o0)
+		m := isa.NewMachine(p2)
+		m.SetReg(rtl.Reg(O0), o0)
 		if err := m.Run(100); err != nil {
 			t.Fatal(err)
 		}
-		return m.Reg(O0 + 2)
+		return m.Reg(rtl.Reg(O0 + 2))
 	}
 	if run(0) != 7 {
 		t.Error("taken be,a should execute the delay slot")
@@ -231,30 +232,30 @@ func TestInterpMemOps(t *testing.T) {
 	nop
 `
 	p, _ := Arch.Assemble(src, isa.AsmOptions{})
-	m := NewMachine(p)
-	m.SetReg(O0, 0x50000)
-	m.SetReg(O0+1, 0xFFEE1234)
+	m := isa.NewMachine(p)
+	m.SetReg(rtl.Reg(O0), 0x50000)
+	m.SetReg(rtl.Reg(O0+1), 0xFFEE1234)
 	if err := m.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	if int32(m.Reg(O0+2)) != -1 {
-		t.Errorf("ldsb = %#x, want -1", m.Reg(O0+2))
+	if int32(m.Reg(rtl.Reg(O0+2))) != -1 {
+		t.Errorf("ldsb = %#x, want -1", m.Reg(rtl.Reg(O0+2)))
 	}
-	if m.Reg(O0+3) != 0xFF {
-		t.Errorf("ldub = %#x", m.Reg(O0+3))
+	if m.Reg(rtl.Reg(O0+3)) != 0xFF {
+		t.Errorf("ldub = %#x", m.Reg(rtl.Reg(O0+3)))
 	}
-	if int32(m.Reg(O0+4)) != -18 { // 0xFFEE sign-extended
-		t.Errorf("ldsh = %#x", m.Reg(O0+4))
+	if int32(m.Reg(rtl.Reg(O0+4))) != -18 { // 0xFFEE sign-extended
+		t.Errorf("ldsh = %#x", m.Reg(rtl.Reg(O0+4)))
 	}
-	if m.Reg(O0+5) != 0xFFEE {
-		t.Errorf("lduh = %#x", m.Reg(O0+5))
+	if m.Reg(rtl.Reg(O0+5)) != 0xFFEE {
+		t.Errorf("lduh = %#x", m.Reg(rtl.Reg(O0+5)))
 	}
 }
 
 // TestInterpFaults: runaway loops and bad jumps are reported.
 func TestInterpFaults(t *testing.T) {
 	p, _ := Arch.Assemble("loop: ba loop\nnop", isa.AsmOptions{})
-	m := NewMachine(p)
+	m := isa.NewMachine(p)
 	if err := m.Run(100); err == nil {
 		t.Error("runaway loop should not terminate")
 	}
@@ -263,8 +264,8 @@ func TestInterpFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewMachine(p2)
-	m2.SetReg(O0, 0xDEAD)
+	m2 := isa.NewMachine(p2)
+	m2.SetReg(rtl.Reg(O0), 0xDEAD)
 	if err := m2.Run(100); err == nil {
 		t.Error("jump to unmapped address should fault")
 	}

@@ -63,6 +63,17 @@ type Stats struct {
 	InductionCands int
 }
 
+// Add adds o's counts to s.
+func (s *Stats) Add(o Stats) {
+	s.Conditions += o.Conditions
+	s.Proved += o.Proved
+	s.InductionRuns += o.InductionRuns
+	s.CacheLookups += o.CacheLookups
+	s.CacheHits += o.CacheHits
+	s.InductionIters += o.InductionIters
+	s.InductionCands += o.InductionCands
+}
+
 // Attempt records one proof attempt on a condition, for explainable
 // verdicts: the strategy tried, the formula it posed, the WLP the
 // back-substitution produced for it, and whether the prover succeeded.

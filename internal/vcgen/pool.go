@@ -173,8 +173,7 @@ func (e *Engine) ProveContext(ctx context.Context, conds []*annotate.GlobalCond)
 	out := make([]CondResult, len(conds))
 
 	var next atomic.Int64
-	var proverStats solver.AtomicStats
-	var mu sync.Mutex // guards e.Stats merging
+	var mu sync.Mutex // guards merging into e.Stats and e.P.Stats
 	// failure holds the first contained panic (first writer wins); once
 	// set, workers stop pulling chunks and the pool drains.
 	var failure atomic.Pointer[PanicError]
@@ -196,15 +195,9 @@ func (e *Engine) ProveContext(ctx context.Context, conds []*annotate.GlobalCond)
 				wkObs.EndAll()
 			}
 			mu.Lock()
-			e.Stats.Conditions += we.Stats.Conditions
-			e.Stats.Proved += we.Stats.Proved
-			e.Stats.InductionRuns += we.Stats.InductionRuns
-			e.Stats.CacheLookups += we.Stats.CacheLookups
-			e.Stats.CacheHits += we.Stats.CacheHits
-			e.Stats.InductionIters += we.Stats.InductionIters
-			e.Stats.InductionCands += we.Stats.InductionCands
+			e.Stats.Add(we.Stats)
+			e.P.Stats.Add(we.P.Stats)
 			mu.Unlock()
-			proverStats.Add(we.P.Stats)
 			wkObs.Flush()
 		}()
 		faults.Fire(faults.WorkerStart)
@@ -244,13 +237,6 @@ func (e *Engine) ProveContext(ctx context.Context, conds []*annotate.GlobalCond)
 	work(e.Obs.Fork())
 	wg.Wait()
 
-	merged := proverStats.Snapshot()
-	e.P.Stats.ValidQueries += merged.ValidQueries
-	e.P.Stats.CacheHits += merged.CacheHits
-	e.P.Stats.Eliminations += merged.Eliminations
-	e.P.Stats.DNFBlowups += merged.DNFBlowups
-	e.P.Stats.FMPrefixReuses += merged.FMPrefixReuses
-	e.P.Stats.EarlyUnsatPrunes += merged.EarlyUnsatPrunes
 	if pe := failure.Load(); pe != nil {
 		return out, pe
 	}
@@ -263,7 +249,6 @@ func (e *Engine) ProveContext(ctx context.Context, conds []*annotate.GlobalCond)
 // worker proves.
 func (e *Engine) worker(wkObs *obs.Worker) *Engine {
 	p := solver.NewShared(e.P.SharedCache())
-	p.Lim = e.P.Lim
 	p.Obs = wkObs
 	p.Intern = e.P.Intern
 	p.Ctl = e.P.Ctl

@@ -109,6 +109,24 @@ func TestScheduleChunksCheapestFirst(t *testing.T) {
 	}
 }
 
+// TestStatsAdd: Add sums every counter. Each field gets a distinct
+// value by reflection, so a counter added to Stats but left out of Add
+// fails here.
+func TestStatsAdd(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetInt(int64(i + 1))
+		bv.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("%s = %d after Add, want %d", av.Type().Field(i).Name, got, want)
+		}
+	}
+}
+
 // proveReference is the sequential loop Phase 5 ran before the pool
 // became its only path, kept as a test oracle: one engine and one
 // prover for every condition, every bounds group proved up front, then

@@ -67,6 +67,37 @@ func TestPoolMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPoolMergesStats proves each fast Figure 9 program at Parallelism
+// 4 and requires the engine stats the workers merge to equal the
+// per-condition results: Conditions counts every condition once and
+// Proved the proved ones. Under -race it checks the workers' merge.
+func TestPoolMergesStats(t *testing.T) {
+	for _, b := range progs.All() {
+		if slowPrograms[b.Name] {
+			continue
+		}
+		prog, spec, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prop, conds := phase5Input(t, prog, spec)
+		e := vcgen.New(prop, solver.New(), vcgen.Options{Parallelism: 4})
+		proved := 0
+		for _, r := range e.Prove(conds) {
+			if r.Proved {
+				proved++
+			}
+		}
+		if e.Stats.Conditions != len(conds) || e.Stats.Proved != proved {
+			t.Errorf("%s: merged Conditions %d, Proved %d; the results hold %d conditions, %d proved",
+				b.Name, e.Stats.Conditions, e.Stats.Proved, len(conds), proved)
+		}
+		if len(conds) > 0 && e.P.Stats.ValidQueries == 0 {
+			t.Errorf("%s: no prover queries merged", b.Name)
+		}
+	}
+}
+
 // phase5Input runs Phases 1–4 on a program and returns what Phase 5
 // takes: the propagation result and the global conditions.
 func phase5Input(t *testing.T, prog *isa.Program, spec *policy.Spec) (*propagate.Result, []*annotate.GlobalCond) {

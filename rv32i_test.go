@@ -2,9 +2,15 @@ package mcsafe
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"mcsafe/internal/difftest"
+	"mcsafe/internal/isa"
 )
 
 // The RV32I end-to-end programs: the array-summation policy of Figure 1
@@ -293,5 +299,140 @@ func TestArches(t *testing.T) {
 	got := strings.Join(Arches(), ",")
 	if got != "rv32i,sparc" {
 		t.Errorf("Arches() = %q, want rv32i,sparc", got)
+	}
+}
+
+// rvMachine assembles an RV32I program (spec may be empty) and returns
+// an interpreter stopped at its entry, with its calling convention.
+func rvMachine(t *testing.T, src, spec, entry string) (*isa.Machine, *isa.Convention) {
+	t.Helper()
+	var s *Spec
+	if spec != "" {
+		var err error
+		if s, err = ParseSpecArch(spec, "rv32i"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := AssembleArch("rv32i", src, s, entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return isa.NewMachine(p.prog), p.prog.Arch.Conv()
+}
+
+// TestRV32IExecSum: the approved RV32I summation executes — it returns
+// its array's sum in %a0 and exits through ret.
+func TestRV32IExecSum(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for n := 1; n <= 12; n++ {
+		m, conv := rvMachine(t, rvSumSafe, rvSumSpec, "sum")
+		const base = 0x40000
+		var want int32
+		for i := 0; i < n; i++ {
+			v := int32(r.Intn(2001) - 1000)
+			m.Store32(base+uint32(4*i), uint32(v))
+			want += v
+		}
+		m.SetReg(conv.ArgRegs[0], base)
+		m.SetReg(conv.ArgRegs[1], uint32(n))
+		if err := m.Run(10000); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if got := int32(m.Reg(conv.RetReg)); got != want {
+			t.Errorf("n=%d: sum = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// TestRV32IExecCalls: rvCallsAsm runs to its end. jal links the next
+// instruction's address, so both calls of zhelper return past
+// themselves (each adds 1 to %a0), the host function log runs once,
+// and main's ret leaves the entry frame.
+func TestRV32IExecCalls(t *testing.T) {
+	m, conv := rvMachine(t, rvCallsAsm, rvCallsSpec, "main")
+	m.SetReg(conv.SP, 0x7f000000)
+	var hosts []string
+	m.HostCall = func(name string, _ *isa.Machine) { hosts = append(hosts, name) }
+	if err := m.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Reg(conv.RetReg); got != 2 {
+		t.Errorf("%%a0 = %d after two calls of zhelper, want 2", got)
+	}
+	if !slices.Equal(hosts, []string{"log"}) {
+		t.Errorf("host calls %q, want [log]", hosts)
+	}
+}
+
+// TestRV32IExecBranches: each fused compare-and-branch reads the flags
+// of its own comparison, and its outcome agrees with Go's comparison,
+// both taken and not taken.
+func TestRV32IExecBranches(t *testing.T) {
+	ops := []struct {
+		op  string
+		cmp func(a, b uint32) bool
+	}{
+		{"beq", func(a, b uint32) bool { return a == b }},
+		{"bne", func(a, b uint32) bool { return a != b }},
+		{"blt", func(a, b uint32) bool { return int32(a) < int32(b) }},
+		{"bge", func(a, b uint32) bool { return int32(a) >= int32(b) }},
+		{"bltu", func(a, b uint32) bool { return a < b }},
+		{"bgeu", func(a, b uint32) bool { return a >= b }},
+	}
+	pairs := [][2]uint32{{1, 2}, {2, 1}, {5, 5}, {0xffffffff, 1}, {1, 0xffffffff}, {0x80000000, 0x7fffffff}}
+	for _, o := range ops {
+		src := fmt.Sprintf("f:\n  %s a0, a1, yes\n  li a0, 0\n  ret\nyes:\n  li a0, 1\n  ret\n", o.op)
+		seen := map[bool]bool{}
+		for _, ab := range pairs {
+			m, conv := rvMachine(t, src, "", "f")
+			m.SetReg(conv.ArgRegs[0], ab[0])
+			m.SetReg(conv.ArgRegs[1], ab[1])
+			if err := m.Run(10); err != nil {
+				t.Fatalf("%s %#x, %#x: %v", o.op, ab[0], ab[1], err)
+			}
+			taken := m.Reg(conv.RetReg) == 1
+			if want := o.cmp(ab[0], ab[1]); taken != want {
+				t.Errorf("%s %#x, %#x: taken = %v, want %v", o.op, ab[0], ab[1], taken, want)
+			}
+			seen[taken] = true
+		}
+		if !seen[true] || !seen[false] {
+			t.Errorf("%s: the pairs did not exercise both outcomes", o.op)
+		}
+	}
+}
+
+// TestRV32IExecWorlds: the execution oracle on RV32I. In every
+// environment drawn from rvSumSpec the approved rvSumSafe exits without
+// a trap, and the rejected rvSumOOB traps oob in at least one.
+func TestRV32IExecWorlds(t *testing.T) {
+	spec, err := ParseSpecArch(rvSumSpec, "rv32i")
+	if err != nil {
+		t.Fatal(err)
+	}
+	safe, err := AssembleArch("rv32i", rvSumSafe, spec, "sum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oob, err := AssembleArch("rv32i", rvSumOOB, spec, "sum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(3))
+	oobTraps := 0
+	for wi := 0; wi < 8; wi++ {
+		world, err := difftest.BuildWorld(spec.spec, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trap, reason := world.Exec(safe.prog, 10000); trap != nil || reason != "exit" {
+			t.Errorf("world %d: approved rvSumSafe ended with trap %v, reason %q", wi, trap, reason)
+		}
+		if trap, _ := world.Exec(oob.prog, 10000); trap != nil && trap.Kind == "oob" {
+			oobTraps++
+		}
+	}
+	if oobTraps == 0 {
+		t.Error("rvSumOOB trapped oob in no world")
 	}
 }
