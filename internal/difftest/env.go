@@ -353,10 +353,7 @@ func (w *World) initScalar(addr uint32, t *types.Type, st typestate.State) {
 	if st.Kind == typestate.StateUninit {
 		v = 0
 	}
-	for i := t.Size() - 1; i >= 0; i-- {
-		w.mem[addr+uint32(i)] = byte(v)
-		v >>= 8
-	}
+	w.spec.Arch.Traits().ByteOrder.Store(w.mem, addr, t.Size(), v)
 }
 
 // fillStruct initializes instance idx of a struct location: scalar
@@ -376,7 +373,8 @@ func (w *World) fillStruct(e *policy.Entity, base uint32, idx int, locInstances 
 			st = e.State
 		}
 		if m.Type.Kind == types.Ptr && st.Kind == typestate.StatePointsTo {
-			w.writeWord(base+uint32(m.Offset), w.pickReferent(e.Name, idx, st, locInstances))
+			ref := w.pickReferent(e.Name, idx, st, locInstances)
+			w.spec.Arch.Traits().ByteOrder.Store(w.mem, base+uint32(m.Offset), 4, ref)
 			continue
 		}
 		w.initScalar(base+uint32(m.Offset), m.Type, st)
@@ -404,14 +402,6 @@ func (w *World) pickReferent(owner string, idx int, st typestate.State, locInsta
 		return 0
 	}
 	return candidates[w.rng.Intn(len(candidates))]
-}
-
-// writeWord stores a big-endian 32-bit word into the world image.
-func (w *World) writeWord(addr, v uint32) {
-	w.mem[addr] = byte(v >> 24)
-	w.mem[addr+1] = byte(v >> 16)
-	w.mem[addr+2] = byte(v >> 8)
-	w.mem[addr+3] = byte(v)
 }
 
 // Classify maps one memory access to a trap, or nil when the access is

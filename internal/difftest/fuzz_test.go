@@ -5,6 +5,7 @@ import (
 
 	"mcsafe/internal/isa"
 	"mcsafe/internal/progs"
+	"mcsafe/internal/riscv"
 	"mcsafe/internal/solver"
 	"mcsafe/internal/sparc"
 )
@@ -30,9 +31,10 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzAsmRoundTrip feeds arbitrary text to the assembler: parsing must
-// never panic, and any program it accepts must satisfy the word-level
-// round-trip laws on every emitted instruction.
+// FuzzAsmRoundTrip feeds arbitrary text to both assemblers: parsing must
+// never panic, every word of a program either accepts must lower to the
+// program's instruction, and a SPARC program must also satisfy the
+// word-level round-trip laws on every emitted instruction.
 func FuzzAsmRoundTrip(f *testing.F) {
 	f.Add("start:\n  retl\n  nop\n")
 	f.Add("  add %o0, %o1, %o2\n  ld [%o0+4], %o1\n")
@@ -43,13 +45,20 @@ func FuzzAsmRoundTrip(f *testing.F) {
 	for _, b := range progs.All() {
 		f.Add(b.Source)
 	}
+	f.Add("sum:\n  mv a2, a0\nloop:\n  lw a5, 0(a2)\n  addi a1, a1, -1\n  bnez a1, loop\n  ret\n")
+	f.Add("  sw a1, 4(sp)\n  li t0, 0x12345678\n  lui a0, 0x12\n  jalr zero, 0(ra) ! a comment\n")
+	f.Add("main:\n  jal ra, f\n  call f\n  ret\nf:\n  sltiu a0, x10, -1\n  ret\n")
+	// Rejected inputs are fine; panics are not.
 	f.Fuzz(func(t *testing.T, src string) {
-		prog, err := sparc.Arch.Assemble(src, isa.AsmOptions{})
-		if err != nil {
-			return // rejected inputs are fine; panics are not
+		if prog, err := sparc.Arch.Assemble(src, isa.AsmOptions{}); err == nil {
+			if err := CheckProgramRoundTrip(prog); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := CheckProgramRoundTrip(prog); err != nil {
-			t.Fatal(err)
+		if prog, err := riscv.Arch.Assemble(src, isa.AsmOptions{}); err == nil {
+			if err := CheckLowering(prog); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

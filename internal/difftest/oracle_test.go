@@ -90,3 +90,43 @@ func TestDiffOracleDetects(t *testing.T) {
 		}
 	}
 }
+
+// TestWorldByteOrder: a world writes its memory image in its
+// architecture's byte order, the one the machine reads in. Each program
+// loads arr[0] (BuildWorld draws 0..16), shifts it right by 8 and reads
+// the byte that far past arr: read in the wrong order, a nonzero element
+// puts that byte at least 64 KiB out of bounds.
+func TestWorldByteOrder(t *testing.T) {
+	rvSpec, err := os.ReadFile("../../testdata/rv32i_sum.spec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ arch, spec, src string }{
+		{"sparc", progs.Sum().Spec, "ld [%o0], %o5\nsrl %o5, 8, %o5\nldub [%o0+%o5], %o4\nretl\nnop\n"},
+		{"rv32i", string(rvSpec), "lw a5, 0(a0)\nsrli a5, a5, 8\nadd a5, a0, a5\nlbu a6, 0(a5)\nret\n"},
+	}
+	for _, c := range cases {
+		arch, err := isa.Get(c.arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := policy.Parse(c.spec, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := arch.Assemble(c.src, isa.AsmOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		for wi := 0; wi < 8; wi++ {
+			world, err := BuildWorld(spec, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trap, reason := world.Exec(prog, 100); trap != nil || reason != "exit" {
+				t.Errorf("%s world %d: trap %v, reason %q", c.arch, wi, trap, reason)
+			}
+		}
+	}
+}

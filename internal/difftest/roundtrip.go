@@ -127,21 +127,32 @@ func CheckWordRoundTrip(w uint32) error {
 	return nil
 }
 
-// CheckProgramRoundTrip asserts the decoder laws on every word of an
-// assembled SPARC program, that every word re-encodes bit-identically,
-// and that the program's lowered view matches a fresh lowering of its
-// words.
-func CheckProgramRoundTrip(p *isa.Program) error {
+// CheckLowering asserts that every word of an assembled program lowers
+// to the program's own Insn: the architecture-neutral half of
+// CheckProgramRoundTrip.
+func CheckLowering(p *isa.Program) error {
 	for idx, w := range p.Words {
-		if err := CheckWordRoundTrip(w); err != nil {
-			return fmt.Errorf("word %d: %v", idx, err)
-		}
 		got, err := p.Arch.Lower(w)
 		if err != nil {
 			return fmt.Errorf("word %d: lower: %v", idx, err)
 		}
 		if want := p.Insns[idx]; !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("word %d: program insn %q %v != lowered %q %v", idx, want.Text, want.RTL, got.Text, got.RTL)
+		}
+	}
+	return nil
+}
+
+// CheckProgramRoundTrip asserts CheckLowering on an assembled SPARC
+// program, the decoder laws on every word, and that every word
+// re-encodes bit-identically.
+func CheckProgramRoundTrip(p *isa.Program) error {
+	if err := CheckLowering(p); err != nil {
+		return err
+	}
+	for idx, w := range p.Words {
+		if err := CheckWordRoundTrip(w); err != nil {
+			return fmt.Errorf("word %d: %v", idx, err)
 		}
 		d, err := sparc.Decode(w)
 		if err != nil {

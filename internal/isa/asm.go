@@ -1,13 +1,15 @@
 // The one assembler driver and the one loader. A front-end supplies a
-// line parser, an encoder and Arch.Lower; label placement, symbol
-// tables, source maps, entry resolution and procedure discovery are the
-// same for every instruction set and live here.
+// parser for lexed lines, an encoder and Arch.Lower; line lexing,
+// register spelling, number syntax, label placement, symbol tables,
+// source maps, entry resolution and procedure discovery are the same
+// for every instruction set and live here.
 
 package isa
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mcsafe/internal/rtl"
@@ -33,44 +35,162 @@ type AsmOptions struct {
 }
 
 // Native is a front-end's parsed instruction as the assembler driver
-// sees it: the label it refers to ("" if none) and its source line.
+// sees it: Ref names the label it refers to ("" if none).
 type Native interface {
-	Ref() (label string, line int)
+	Ref() string
 }
 
-// Assemble runs the two-pass assembler over source text. parse turns
-// one line into its leading labels and the instructions it expands to;
-// encode turns an instruction whose label resolved to word displacement
-// disp (0 when it names none) into its machine word. Every word is then
-// lowered through arch.Lower, so Program.Insns is exactly what a checker
-// sees when handed the binary.
+// Line is one source line as Assemble hands it to a front-end: its
+// mnemonic (lower-cased) and its operands. Its methods read an operand
+// one way for every front-end. A failed read yields a zero value and
+// records the line's first error, which Assemble reports with the line
+// number, so a front-end reads operands without checking each.
+type Line struct {
+	Mnemonic string
+	Args     []string
+	regs     *RegModel
+	err      error
+}
+
+// Fail records an error in the line's operands (the first one wins).
+func (l *Line) Fail(format string, args ...any) {
+	if l.err == nil {
+		l.err = fmt.Errorf(format, args...)
+	}
+}
+
+// Want records an error unless the line has exactly n operands.
+func (l *Line) Want(n int) bool {
+	if len(l.Args) != n {
+		l.Fail("%s expects %d operands, got %d", l.Mnemonic, n, len(l.Args))
+		return false
+	}
+	return true
+}
+
+// Reg reads a register named in the architecture's RegModel.
+func (l *Line) Reg(s string) rtl.Reg {
+	r, ok := l.regs.Parse(s)
+	if !ok {
+		l.Fail("bad register %q", s)
+	}
+	return r
+}
+
+// Num reads a number in Go integer syntax (decimal, 0x, 0o, 0b or a
+// leading 0 for octal), signed or unsigned 32-bit.
+func (l *Line) Num(s string) int32 {
+	v, err := strconv.ParseInt(s, 0, 64)
+	switch {
+	case err != nil:
+		l.Fail("bad number %q", s)
+	case v < -(1<<31) || v > 1<<32-1:
+		l.Fail("number %q out of 32-bit range", s)
+	}
+	return int32(v)
+}
+
+// Label reads a label reference.
+func (l *Line) Label(s string) string {
+	if !isLabel(s) {
+		l.Fail("bad label %q", s)
+	}
+	return s
+}
+
+// isLabel reports whether s can name a label: not empty, and no
+// whitespace, comma, bracket or parenthesis.
+func isLabel(s string) bool {
+	return s != "" && !strings.ContainsAny(s, " \t,[]()")
+}
+
+// lex reads one source line into l and appends its leading labels to
+// labels. A comment runs from '!' or '#' to the end of the line; each
+// leading "name:" is a label; the mnemonic runs to the first space or
+// tab; the operands are separated by commas outside brackets and
+// parentheses.
+func (l *Line) lex(text string, labels []string) []string {
+	if i := strings.IndexAny(text, "!#"); i >= 0 {
+		text = text[:i]
+	}
+	text = strings.TrimSpace(text)
+	for {
+		lbl, rest, ok := strings.Cut(text, ":")
+		if lbl = strings.TrimSpace(lbl); !ok || !isLabel(lbl) {
+			break
+		}
+		labels = append(labels, lbl)
+		text = strings.TrimSpace(rest)
+	}
+	mnemonic, rest := text, ""
+	if i := strings.IndexAny(text, " \t"); i >= 0 {
+		mnemonic, rest = text[:i], text[i+1:]
+	}
+	l.Mnemonic, l.Args, l.err = strings.ToLower(mnemonic), l.Args[:0], nil
+	if rest = strings.TrimSpace(rest); rest == "" {
+		return labels
+	}
+	depth, start := 0, 0
+	for i := 0; i < len(rest); i++ {
+		switch rest[i] {
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case ',':
+			if depth == 0 {
+				l.Args = append(l.Args, strings.TrimSpace(rest[start:i]))
+				start = i + 1
+			}
+		}
+	}
+	l.Args = append(l.Args, strings.TrimSpace(rest[start:]))
+	return labels
+}
+
+// Assemble runs the two-pass assembler over source text. It lexes
+// every line; parse turns a line with a mnemonic into the
+// instructions it expands to, reading its operands through the Line,
+// and returns none for a mnemonic it does not know. encode turns an
+// instruction whose label resolved to word displacement disp (0 when it
+// names none) into its machine word. Every word is then lowered through
+// arch.Lower, so Program.Insns is exactly what a checker sees when
+// handed the binary.
 func Assemble[I Native](arch Arch, src string, opts AsmOptions,
-	parse func(text string, line int) ([]string, []I, error),
+	parse func(l *Line) []I,
 	encode func(insn I, disp int32) (uint32, error)) (*Program, error) {
 	var insns []I
+	var lines []int
 	labels := make(map[string]int)
 	var pending []string
+	l := Line{regs: arch.Regs()}
 	for lineNo, text := range strings.Split(src, "\n") {
-		lbls, parsed, err := parse(text, lineNo+1)
-		if err != nil {
-			return nil, err
-		}
-		pending = append(pending, lbls...)
-		if len(parsed) == 0 {
+		pending = l.lex(text, pending)
+		if l.Mnemonic == "" {
 			continue
 		}
-		for _, l := range pending {
-			if _, dup := labels[l]; dup {
-				return nil, fmt.Errorf("line %d: duplicate label %q", lineNo+1, l)
+		parsed := parse(&l)
+		if len(parsed) == 0 {
+			l.Fail("unknown mnemonic %q", l.Mnemonic)
+		}
+		if l.err != nil {
+			return nil, fmt.Errorf("line %d: %v", lineNo+1, l.err)
+		}
+		for _, lbl := range pending {
+			if _, dup := labels[lbl]; dup {
+				return nil, fmt.Errorf("line %d: duplicate label %q", lineNo+1, lbl)
 			}
-			labels[l] = len(insns)
+			labels[lbl] = len(insns)
 		}
 		pending = pending[:0]
 		insns = append(insns, parsed...)
+		for range parsed {
+			lines = append(lines, lineNo+1)
+		}
 	}
 	// Trailing labels refer past the last instruction.
-	for _, l := range pending {
-		labels[l] = len(insns)
+	for _, lbl := range pending {
+		labels[lbl] = len(insns)
 	}
 	if len(insns) == 0 {
 		return nil, fmt.Errorf("%s: empty program", arch.Name())
@@ -98,25 +218,23 @@ func Assemble[I Native](arch Arch, src string, opts AsmOptions,
 		Base:     opts.Base,
 		Symbols:  labels,
 		DataSyms: opts.DataSyms,
-		SrcLines: make([]int, n),
+		SrcLines: lines,
 	}
 	if p.Base == 0 {
 		p.Base = DefaultBase
 	}
 	for idx, insn := range insns {
-		label, line := insn.Ref()
-		p.SrcLines[idx] = line
 		var disp int32
-		if label != "" {
+		if label := insn.Ref(); label != "" {
 			tgt, ok := labels[label]
 			if !ok {
-				return nil, fmt.Errorf("line %d: undefined label %q", line, label)
+				return nil, fmt.Errorf("line %d: undefined label %q", lines[idx], label)
 			}
 			disp = int32(tgt - idx)
 		}
 		w, err := encode(insn, disp)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %v", line, err)
+			return nil, fmt.Errorf("line %d: %v", lines[idx], err)
 		}
 		p.Words[idx] = w
 		if p.Insns[idx], err = arch.Lower(w); err != nil {

@@ -30,26 +30,66 @@ type Traits struct {
 	// CFG builder must wire delay-slot nodes (and replicate annulled
 	// slots onto the taken edge).
 	DelaySlots bool
-	// RegisterWindows reports SPARC-style windowed register files:
-	// save/restore shift the register window, and register variables are
-	// depth-qualified.
-	RegisterWindows bool
 	// HardwareAliasing reports that the memory subsystem may translate
 	// arithmetically distinct addresses inconsistently (arXiv:1305.6431):
 	// address computations must additionally be proved alias-stable, and
 	// the annotator emits the "alias" condition class.
 	HardwareAliasing bool
+	// ByteOrder lays out multi-byte values in memory; the concrete
+	// interpreter's loads and stores and the oracle's memory images go
+	// through it.
+	ByteOrder ByteOrder
 }
 
-// WindowLayout describes a windowed register file (Traits.RegisterWindows);
-// the zero value means "no windows".
+// ByteOrder is the order in which an architecture lays out the bytes of
+// a multi-byte value in memory. Load and Store apply it to sparse byte
+// memory.
+type ByteOrder uint8
+
+const (
+	// BigEndian puts the most significant byte at the lowest address.
+	BigEndian ByteOrder = iota
+	// LittleEndian puts the least significant byte there.
+	LittleEndian
+)
+
+// Load reads the unextended size-byte value at addr.
+func (o ByteOrder) Load(mem map[uint32]byte, addr uint32, size int) uint32 {
+	var v uint32
+	for k := range size {
+		v = v<<8 | uint32(mem[o.at(addr, size, k)])
+	}
+	return v
+}
+
+// Store writes the low size bytes of v at addr.
+func (o ByteOrder) Store(mem map[uint32]byte, addr uint32, size int, v uint32) {
+	for k := size - 1; k >= 0; k-- {
+		mem[o.at(addr, size, k)] = byte(v)
+		v >>= 8
+	}
+}
+
+// at is the address of the k-th most significant byte of the size-byte
+// value at addr.
+func (o ByteOrder) at(addr uint32, size, k int) uint32 {
+	if o == LittleEndian {
+		k = size - 1 - k
+	}
+	return addr + uint32(k)
+}
+
+// WindowLayout describes a windowed register file, as on SPARC:
+// save/restore shift the register window, and register variables are
+// depth-qualified. The zero value means "no windows".
 type WindowLayout struct {
 	// Out, Local, In are the first registers of the respective banks;
 	// Size is the bank width (8 on SPARC). A save makes the caller's
 	// outs the callee's ins.
 	Out, Local, In rtl.Reg
 	Size           int
-	// MaxDepth bounds the static window depth the analysis models.
+	// MaxDepth is the deepest window depth whose register variables
+	// the RegModel caches; deeper ones are named on demand.
 	MaxDepth int
 }
 
@@ -80,8 +120,8 @@ type Convention struct {
 	// the required frame-size alignment.
 	MinFrame   int32
 	StackAlign int32
-	// Window is the register-window layout (zero unless the Traits
-	// report RegisterWindows).
+	// Window is the register-window layout (zero for an unwindowed
+	// register file).
 	Window WindowLayout
 }
 
@@ -99,7 +139,7 @@ type Arch interface {
 	// Conv is the calling/stack convention.
 	Conv() *Convention
 	// Assemble builds a Program from assembly source: the package-level
-	// Assemble driver run with the front-end's line parser and encoder.
+	// Assemble run with the front-end's mnemonic parser and encoder.
 	Assemble(src string, opts AsmOptions) (*Program, error)
 	// Lower decodes one machine word and lifts it: its RTL, its
 	// disassembly text and its return flag. It is the only way a word

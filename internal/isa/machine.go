@@ -19,12 +19,13 @@ import (
 // propagation and WLP generation all consume the same per-opcode
 // definition. The machine-state plumbing comes from the program's Arch:
 // the register file and its windows from Regs and Conv().Window,
-// delayed or immediate control transfer from Traits().DelaySlots, and
-// the register a host call's result lands in from Conv().RetReg.
+// delayed or immediate control transfer from Traits().DelaySlots, the
+// register a host call's result lands in from Conv().RetReg, and the
+// byte order of memory from Traits().ByteOrder.
 //
 // The model is deliberately small: 32-bit integer registers (register
-// windows when the architecture has them), a sparse big-endian byte
-// memory, and the integer condition codes. Traps, floating point, and
+// windows when the architecture has them), a sparse byte memory, and
+// the integer condition codes. Traps, floating point, and
 // alternate address spaces are out of scope, exactly as they are for
 // the checker.
 type Machine struct {
@@ -62,6 +63,7 @@ type Machine struct {
 	win    WindowLayout
 	retReg rtl.Reg
 	delay  bool
+	order  ByteOrder
 	// labels names each call target, the least label at each index.
 	labels map[int]string
 }
@@ -74,7 +76,7 @@ const windows = 32
 // NewMachine creates an interpreter for p, stopped at its entry with
 // zeroed registers and empty memory.
 func NewMachine(p *Program) *Machine {
-	conv := p.Arch.Conv()
+	conv, traits := p.Arch.Conv(), p.Arch.Traits()
 	m := &Machine{
 		Mem:    make(map[uint32]byte),
 		PC:     p.Entry,
@@ -84,10 +86,11 @@ func NewMachine(p *Program) *Machine {
 		model:  p.Arch.Regs(),
 		win:    conv.Window,
 		retReg: conv.RetReg,
-		delay:  p.Arch.Traits().DelaySlots,
+		delay:  traits.DelaySlots,
+		order:  traits.ByteOrder,
 		labels: p.Labels(),
 	}
-	if p.Arch.Traits().RegisterWindows {
+	if m.win.Size > 0 {
 		m.Windows = make([][]uint32, windows)
 		for w := range m.Windows {
 			m.Windows[w] = make([]uint32, 2*m.win.Size)
@@ -128,27 +131,10 @@ func (m *Machine) SetReg(r rtl.Reg, v uint32) {
 	}
 }
 
-// Store32 and Load32 access a big-endian word of the sparse memory.
-func (m *Machine) Store32(addr uint32, v uint32) { m.store(addr, 4, v) }
+// Store32 and Load32 access a word of the sparse memory.
+func (m *Machine) Store32(addr uint32, v uint32) { m.order.Store(m.Mem, addr, 4, v) }
 
-func (m *Machine) Load32(addr uint32) uint32 { return m.load(addr, 4) }
-
-// load reads size bytes big-endian (unextended).
-func (m *Machine) load(addr uint32, size int) uint32 {
-	var v uint32
-	for k := 0; k < size; k++ {
-		v = v<<8 | uint32(m.Mem[addr+uint32(k)])
-	}
-	return v
-}
-
-// store writes the low size bytes of v big-endian.
-func (m *Machine) store(addr uint32, size int, v uint32) {
-	for k := size - 1; k >= 0; k-- {
-		m.Mem[addr+uint32(k)] = byte(v)
-		v >>= 8
-	}
-}
+func (m *Machine) Load32(addr uint32) uint32 { return m.order.Load(m.Mem, addr, 4) }
 
 // ErrExit is returned by Step when the program returns from its entry
 // procedure (a return with no caller).
@@ -282,12 +268,12 @@ func (m *Machine) Step() error {
 		if m.OnMem != nil {
 			m.OnMem(addr, x.Size, false)
 		}
-		m.SetReg(x.Dst, rtl.Extend(m.load(addr, x.Size), x.Size, x.Signed))
+		m.SetReg(x.Dst, rtl.Extend(m.order.Load(m.Mem, addr, x.Size), x.Size, x.Signed))
 	case rtl.Store:
 		if m.OnMem != nil {
 			m.OnMem(addr, x.Size, true)
 		}
-		m.store(addr, x.Size, data)
+		m.order.Store(m.Mem, addr, x.Size, data)
 	}
 	if sh.CC() != nil {
 		m.N, m.Z, m.V, m.C = n, z, v, c

@@ -14,11 +14,9 @@ import (
 // canonical name ("%o0", "%a0") for unwindowed registers or window
 // depth 0, and "w<depth>.<name>" for windowed registers at depth > 0.
 type RegModel struct {
-	names    []string
-	parse    map[string]rtl.Reg
-	windowed bool
-	winStart rtl.Reg
-	maxDepth int
+	names []string
+	parse map[string]rtl.Reg
+	win   WindowLayout
 	// varTab caches the depth-qualified variable per (depth, register):
 	// these names appear in millions of interned formula terms, so they
 	// are materialized once.
@@ -28,15 +26,13 @@ type RegModel struct {
 // NewRegModel builds a register model. names lists the canonical name
 // of every register in number order (index = register number); aliases
 // maps accepted alternate spellings to canonical names ("%o6" → "%sp").
-// A windowed file names winStart as the first windowed register and
-// maxDepth as the deepest cached window depth.
-func NewRegModel(names []string, aliases map[string]string, windowed bool, winStart rtl.Reg, maxDepth int) *RegModel {
+// A file is windowed when win.Size > 0: its windowed registers start at
+// win.Out, and variables are cached to depth win.MaxDepth.
+func NewRegModel(names []string, aliases map[string]string, win WindowLayout) *RegModel {
 	m := &RegModel{
-		names:    names,
-		parse:    make(map[string]rtl.Reg, len(names)+len(aliases)),
-		windowed: windowed,
-		winStart: winStart,
-		maxDepth: maxDepth,
+		names: names,
+		parse: make(map[string]rtl.Reg, len(names)+len(aliases)),
+		win:   win,
 	}
 	for i, n := range names {
 		m.parse[n] = rtl.Reg(i)
@@ -49,14 +45,14 @@ func NewRegModel(names []string, aliases map[string]string, windowed bool, winSt
 		m.parse[alias] = r
 	}
 	depths := 1
-	if windowed {
-		depths = maxDepth + 1
+	if win.Size > 0 {
+		depths = win.MaxDepth + 1
 	}
 	m.varTab = make([][]expr.Var, depths)
 	for d := range m.varTab {
 		m.varTab[d] = make([]expr.Var, len(names))
 		for r := range m.varTab[d] {
-			if d == 0 || rtl.Reg(r) < winStart {
+			if d == 0 || !m.Windowed(rtl.Reg(r)) {
 				m.varTab[d][r] = expr.Var(names[r])
 			} else {
 				m.varTab[d][r] = expr.Var(fmt.Sprintf("w%d.%s", d, names[r]))
@@ -82,15 +78,15 @@ func (m *RegModel) Parse(name string) (rtl.Reg, bool) {
 // (renamed by save/restore); unwindowed registers — and every register
 // of an unwindowed architecture — keep one name at every depth.
 func (m *RegModel) Windowed(r rtl.Reg) bool {
-	return m.windowed && r >= m.winStart
+	return m.win.Size > 0 && r >= m.win.Out
 }
 
 // Var is the formula variable for register r at window depth.
 func (m *RegModel) Var(r rtl.Reg, depth int) expr.Var {
-	if !m.windowed || depth == 0 || r < m.winStart {
+	if depth == 0 || !m.Windowed(r) {
 		return m.varTab[0][r]
 	}
-	if depth <= m.maxDepth {
+	if depth < len(m.varTab) {
 		return m.varTab[depth][r]
 	}
 	return expr.Var(fmt.Sprintf("w%d.%s", depth, m.names[r]))

@@ -78,9 +78,9 @@ type Trace struct {
 	seq   atomic.Int64 // event sequence numbers
 
 	mu       sync.Mutex
-	spans    []Span
-	maxSpans int // > 0: retain only the most recent maxSpans spans
-	dropped  int64
+	spans    []Span // spans[head:] are retained
+	head     int
+	maxSpans int                 // > 0: retain only the most recent maxSpans spans
 	aggs     map[string]*spanAgg // per-kind totals over ALL merged spans
 	counters map[string]int64
 }
@@ -118,15 +118,22 @@ func (t *Trace) SetSpanLimit(n int) {
 	t.mu.Unlock()
 }
 
-// pruneLocked drops the oldest retained spans down to the limit.
+// pruneLocked drops the oldest retained spans down to the limit. The
+// dropped prefix is compacted away only once it is as long as the limit,
+// so a merge costs amortized constant time per span instead of a copy
+// of the whole retained window. Dropped and vacated slots are zeroed,
+// so no slot keeps a dropped span's attributes alive.
 func (t *Trace) pruneLocked() {
-	if t.maxSpans <= 0 || len(t.spans) <= t.maxSpans {
-		return
+	if t.maxSpans > 0 && len(t.spans)-t.head > t.maxSpans {
+		head := len(t.spans) - t.maxSpans
+		clear(t.spans[t.head:head])
+		t.head = head
 	}
-	excess := len(t.spans) - t.maxSpans
-	t.dropped += int64(excess)
-	// Copy rather than re-slice so the dropped prefix is freed.
-	t.spans = append(t.spans[:0], t.spans[excess:]...)
+	if t.head > 0 && t.head >= t.maxSpans {
+		n := copy(t.spans, t.spans[t.head:])
+		clear(t.spans[n:])
+		t.spans, t.head = t.spans[:n], 0
+	}
 }
 
 func (t *Trace) now() int64 { return int64(time.Since(t.start)) }
@@ -191,7 +198,7 @@ func (t *Trace) Spans() []Span {
 		return nil
 	}
 	t.mu.Lock()
-	out := append([]Span(nil), t.spans...)
+	out := append([]Span(nil), t.spans[t.head:]...)
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -204,7 +211,7 @@ func (t *Trace) SpanByID(id SpanID) (Span, bool) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, s := range t.spans {
+	for _, s := range t.spans[t.head:] {
 		if s.ID == id {
 			return s, true
 		}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -255,6 +256,71 @@ func TestSpanLimitBoundsRetention(t *testing.T) {
 	w.Flush()
 	if got := len(tr.Spans()); got != 23 {
 		t.Fatalf("retained %d spans with limit cleared, want 23", got)
+	}
+}
+
+// TestSpanLimitNewestOnly: between compactions the trace holds spans it
+// has dropped; every reader still sees exactly the newest n, and a
+// raised or cleared limit does not bring dropped spans back.
+func TestSpanLimitNewestOnly(t *testing.T) {
+	tr := New()
+	tr.SetSpanLimit(4)
+	var ids []SpanID
+	for i := 0; i < 6; i++ {
+		w := tr.Worker(0)
+		ids = append(ids, w.Begin("request", "/v1/check"))
+		w.End()
+		w.Flush()
+	}
+	newest := func(what string) {
+		t.Helper()
+		var got []SpanID
+		for _, s := range tr.Spans() {
+			got = append(got, s.ID)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(ids[2:]) {
+			t.Errorf("%s: retained %v, want %v", what, got, ids[2:])
+		}
+		if n := len(tr.Events()); n != 8 {
+			t.Errorf("%s: %d events, want 8", what, n)
+		}
+		if n := len(tr.Snapshot().Events); n != 8 {
+			t.Errorf("%s: snapshot has %d events, want 8", what, n)
+		}
+		for i, id := range ids {
+			if _, ok := tr.SpanByID(id); ok != (i >= 2) {
+				t.Errorf("%s: SpanByID(%d) found = %v", what, id, ok)
+			}
+		}
+	}
+	newest("at the limit")
+	tr.SetSpanLimit(10)
+	newest("limit raised")
+	tr.SetSpanLimit(0)
+	newest("limit cleared")
+}
+
+// BenchmarkFlushAtSpanLimit: a one-span Flush into a trace that already
+// retains its limit of spans, the steady state of a long-running
+// mcsafed (-trace-spans 4096).
+func BenchmarkFlushAtSpanLimit(b *testing.B) {
+	for _, limit := range []int{64, 4096} {
+		b.Run(fmt.Sprint(limit), func(b *testing.B) {
+			tr := New()
+			tr.SetSpanLimit(limit)
+			w := tr.Worker(0)
+			for i := 0; i < limit; i++ {
+				w.Begin("request", "/v1/check")
+				w.End()
+			}
+			w.Flush()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Begin("request", "/v1/check")
+				w.End()
+				w.Flush()
+			}
+		})
 	}
 }
 

@@ -6,9 +6,9 @@ package progs
 // would not be checking the same analysis.
 
 import (
-	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"mcsafe/internal/annotate"
 	"mcsafe/internal/core"
@@ -24,8 +24,9 @@ import (
 // and the global conditions in the callee functions." At Parallelism 1
 // the effort counters state it exactly (HeapSort: 956 solver queries
 // and 292 induction runs; HeapSort2: 549 and 126); the wall-clock check
-// takes the median of five alternating pairs, so that one slow sample
-// on a shared host does not decide it.
+// compares each side's fastest of nine alternating runs. Other load on
+// a shared host only adds time, so a side's fastest run is its least
+// disturbed one, whatever runs beside the test.
 func TestInterproceduralFasterThanInlined(t *testing.T) {
 	check := func(b *Benchmark) *core.Result {
 		t.Helper()
@@ -39,14 +40,19 @@ func TestInterproceduralFasterThanInlined(t *testing.T) {
 		return res
 	}
 	var inlined, interproc *core.Result
-	ratios := make([]float64, 5)
-	for i := range ratios {
+	var fastInlined, fastInterproc time.Duration
+	for i := 0; i < 9; i++ {
 		if i%2 == 0 {
 			inlined, interproc = check(HeapSort()), check(HeapSort2())
 		} else {
 			interproc, inlined = check(HeapSort2()), check(HeapSort())
 		}
-		ratios[i] = float64(inlined.Times.Global) / float64(interproc.Times.Global)
+		if i == 0 || inlined.Times.Global < fastInlined {
+			fastInlined = inlined.Times.Global
+		}
+		if i == 0 || interproc.Times.Global < fastInterproc {
+			fastInterproc = interproc.Times.Global
+		}
 	}
 	// The inlined version has more global conditions (the replication
 	// the paper describes)...
@@ -67,10 +73,11 @@ func TestInterproceduralFasterThanInlined(t *testing.T) {
 			t.Errorf("inlined %s (%d) should exceed 1.2x interprocedural (%d)", c.what, c.inlined, c.interproc)
 		}
 	}
-	sort.Float64s(ratios)
-	if ratios[2] < 1.2 {
-		t.Errorf("median inlined/interprocedural global verification time %.2f, want at least 1.2 (pairs %.2f)",
-			ratios[2], ratios)
+	ratio := float64(fastInlined) / float64(fastInterproc)
+	t.Logf("fastest inlined/interprocedural global verification time %.2f (%v / %v)", ratio, fastInlined, fastInterproc)
+	if ratio < 1.2 {
+		t.Errorf("fastest inlined/interprocedural global verification time %.2f (%v / %v), want at least 1.2",
+			ratio, fastInlined, fastInterproc)
 	}
 }
 

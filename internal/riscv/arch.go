@@ -29,7 +29,7 @@ var regModel = func() *isa.RegModel {
 		names[r] = Reg(r).String()
 		aliases[fmt.Sprintf("%%x%d", r)] = names[r]
 	}
-	return isa.NewRegModel(names, aliases, false, 0, 0)
+	return isa.NewRegModel(names, aliases, convention.Window)
 }()
 
 var convention = &isa.Convention{
@@ -50,11 +50,11 @@ func (archImpl) Name() string          { return "rv32i" }
 func (archImpl) Regs() *isa.RegModel   { return regModel }
 func (archImpl) Conv() *isa.Convention { return convention }
 func (archImpl) Traits() isa.Traits {
-	return isa.Traits{HardwareAliasing: true}
+	return isa.Traits{HardwareAliasing: true, ByteOrder: isa.LittleEndian}
 }
 
 func (archImpl) Assemble(src string, opts isa.AsmOptions) (*isa.Program, error) {
-	return isa.Assemble(Arch, src, opts, (&parser{dataSyms: opts.DataSyms}).parseLine, encodeAt)
+	return isa.Assemble(Arch, src, opts, (&parser{dataSyms: opts.DataSyms}).parse, encodeAt)
 }
 
 // Lower decodes a word and lifts it: its RTL effect sequence, its

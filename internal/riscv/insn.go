@@ -86,13 +86,10 @@ type Insn struct {
 	Disp int32
 	// Target is an assembler-internal unresolved label.
 	Target string
-	// Line is the source line the assembler read this instruction from.
-	Line int
 }
 
-// Ref reports the label the instruction refers to and its source line,
-// for the assembler driver.
-func (i Insn) Ref() (string, int) { return i.Target, i.Line }
+// Ref reports the label the instruction refers to, for isa.Assemble.
+func (i Insn) Ref() string { return i.Target }
 
 // IsLoad reports whether the instruction reads memory.
 func (i Insn) IsLoad() bool {

@@ -38,27 +38,3 @@ func (r Reg) String() string {
 	}
 	return fmt.Sprintf("%%x%d", uint8(r))
 }
-
-// ParseReg accepts ABI names with or without the "%" prefix ("a0",
-// "%a0"), the "fp" alias for s0, and raw "x<n>" numbers.
-func ParseReg(name string) (Reg, error) {
-	s := name
-	if len(s) > 0 && s[0] == '%' {
-		s = s[1:]
-	}
-	if s == "fp" {
-		return S0, nil
-	}
-	for r, n := range regNames {
-		if s == n[1:] {
-			return Reg(r), nil
-		}
-	}
-	if len(s) >= 2 && s[0] == 'x' {
-		var n int
-		if _, err := fmt.Sscanf(s[1:], "%d", &n); err == nil && n >= 0 && n < 32 {
-			return Reg(n), nil
-		}
-	}
-	return 0, fmt.Errorf("riscv: unknown register %q", name)
-}

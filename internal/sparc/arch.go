@@ -24,7 +24,7 @@ var regModel = func() *isa.RegModel {
 	}
 	// %o6 and %i6 are the numbered spellings of %sp and %fp.
 	aliases := map[string]string{"%o6": "%sp", "%i6": "%fp"}
-	return isa.NewRegModel(names, aliases, true, rtl.Reg(O0), 8)
+	return isa.NewRegModel(names, aliases, convention.Window)
 }()
 
 var convention = &isa.Convention{
@@ -51,11 +51,11 @@ func (archImpl) Name() string          { return "sparc" }
 func (archImpl) Regs() *isa.RegModel   { return regModel }
 func (archImpl) Conv() *isa.Convention { return convention }
 func (archImpl) Traits() isa.Traits {
-	return isa.Traits{DelaySlots: true, RegisterWindows: true}
+	return isa.Traits{DelaySlots: true, ByteOrder: isa.BigEndian}
 }
 
 func (archImpl) Assemble(src string, opts isa.AsmOptions) (*isa.Program, error) {
-	return isa.Assemble(Arch, src, opts, (&parser{dataSyms: opts.DataSyms}).parseLine, encodeAt)
+	return isa.Assemble(Arch, src, opts, (&parser{dataSyms: opts.DataSyms}).parse, encodeAt)
 }
 
 // Lower decodes a word and lifts it: its RTL effect sequence, its

@@ -105,14 +105,10 @@ type Insn struct {
 	// Target carries an unresolved label between parsing and assembly;
 	// it is empty in decoded instructions.
 	Target string
-	// Line is the source line number the instruction came from (0 when
-	// decoded from bare words with no source map).
-	Line int
 }
 
-// Ref reports the label the instruction refers to and its source line,
-// for the assembler driver.
-func (i Insn) Ref() (string, int) { return i.Target, i.Line }
+// Ref reports the label the instruction refers to, for isa.Assemble.
+func (i Insn) Ref() string { return i.Target }
 
 // IsLoad reports whether the instruction reads memory.
 func (i Insn) IsLoad() bool {

@@ -1,15 +1,10 @@
 package sparc
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
-)
 
-// parseError decorates errors with the source line.
-func parseError(line int, format string, args ...interface{}) error {
-	return fmt.Errorf("line %d: %s", line, fmt.Sprintf(format, args...))
-}
+	"mcsafe/internal/isa"
+)
 
 var branchConds = map[string]Cond{
 	"ba": CondA, "b": CondA, "bn": CondN,
@@ -47,66 +42,48 @@ type operand struct {
 	imm   int32
 }
 
-func (p *parser) parseOperand(s string, line int) (operand, error) {
-	s = strings.TrimSpace(s)
+// parser is SPARC's half of the assembler: it turns one lexed line into
+// instructions, expanding synthetic instructions. dataSyms resolves
+// "set" and %hi()/%lo() operands.
+type parser struct {
+	dataSyms map[string]uint32
+}
+
+// reg reads a register; SPARC names carry their "%".
+func reg(l *isa.Line, s string) Reg { return Reg(l.Reg(s)) }
+
+func (p *parser) operand(l *isa.Line, s string) operand {
 	if strings.HasPrefix(s, "%") && !strings.HasPrefix(s, "%hi(") && !strings.HasPrefix(s, "%lo(") {
-		r, err := ParseReg(s)
-		if err != nil {
-			return operand{}, parseError(line, "%v", err)
-		}
-		return operand{reg: r}, nil
+		return operand{reg: reg(l, s)}
 	}
-	v, err := p.parseImm(s, line)
-	if err != nil {
-		return operand{}, err
-	}
-	return operand{isImm: true, imm: v}, nil
+	return operand{isImm: true, imm: p.imm(l, s)}
 }
 
-func (p *parser) parseImm(s string, line int) (int32, error) {
-	s = strings.TrimSpace(s)
-	if strings.HasPrefix(s, "%hi(") && strings.HasSuffix(s, ")") {
-		v, err := p.symOrNum(s[4:len(s)-1], line)
-		if err != nil {
-			return 0, err
-		}
-		return int32(uint32(v) &^ 0x3ff), nil
+func (p *parser) imm(l *isa.Line, s string) int32 {
+	if inner, ok := strings.CutPrefix(s, "%hi("); ok && strings.HasSuffix(s, ")") {
+		return int32(uint32(p.symOrNum(l, inner[:len(inner)-1])) &^ 0x3ff)
 	}
-	if strings.HasPrefix(s, "%lo(") && strings.HasSuffix(s, ")") {
-		v, err := p.symOrNum(s[4:len(s)-1], line)
-		if err != nil {
-			return 0, err
-		}
-		return int32(uint32(v) & 0x3ff), nil
+	if inner, ok := strings.CutPrefix(s, "%lo("); ok && strings.HasSuffix(s, ")") {
+		return int32(uint32(p.symOrNum(l, inner[:len(inner)-1])) & 0x3ff)
 	}
-	v, err := strconv.ParseInt(s, 0, 64)
-	if err != nil {
-		return 0, parseError(line, "bad immediate %q", s)
-	}
-	if v < -(1<<31) || v > 1<<32-1 {
-		return 0, parseError(line, "immediate %d out of 32-bit range", v)
-	}
-	return int32(v), nil
+	return l.Num(s)
 }
 
-func (p *parser) symOrNum(s string, line int) (int32, error) {
+// symOrNum reads a data symbol's address or a number.
+func (p *parser) symOrNum(l *isa.Line, s string) int32 {
 	s = strings.TrimSpace(s)
 	if addr, ok := p.dataSyms[s]; ok {
-		return int32(addr), nil
+		return int32(addr)
 	}
-	v, err := strconv.ParseInt(s, 0, 64)
-	if err != nil {
-		return 0, parseError(line, "unknown symbol or bad number %q", s)
-	}
-	return int32(v), nil
+	return l.Num(s)
 }
 
-// parseAddr parses a memory operand "[%reg]", "[%reg+imm]", "[%reg-imm]",
-// or "[%reg+%reg]".
-func (p *parser) parseAddr(s string, line int) (rs1 Reg, o operand, err error) {
-	s = strings.TrimSpace(s)
+// addr reads a memory operand "[%reg]", "[%reg+imm]", "[%reg-imm]", or
+// "[%reg+%reg]".
+func (p *parser) addr(l *isa.Line, s string) (rs1 Reg, o operand) {
 	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
-		return 0, operand{}, parseError(line, "bad memory operand %q", s)
+		l.Fail("bad memory operand %q", s)
+		return 0, operand{}
 	}
 	inner := strings.TrimSpace(s[1 : len(s)-1])
 	// Find a top-level + or - separator (not the leading % of a register).
@@ -118,59 +95,20 @@ func (p *parser) parseAddr(s string, line int) (rs1 Reg, o operand, err error) {
 		}
 	}
 	if sep < 0 {
-		r, err := ParseReg(inner)
-		if err != nil {
-			return 0, operand{}, parseError(line, "%v", err)
-		}
-		return r, operand{isImm: true, imm: 0}, nil
+		return reg(l, inner), operand{isImm: true}
 	}
-	r, err := ParseReg(strings.TrimSpace(inner[:sep]))
-	if err != nil {
-		return 0, operand{}, parseError(line, "%v", err)
-	}
-	rest := strings.TrimSpace(inner[sep+1:])
-	op2, err := p.parseOperand(rest, line)
-	if err != nil {
-		return 0, operand{}, err
-	}
+	rs1, o = reg(l, strings.TrimSpace(inner[:sep])), p.operand(l, strings.TrimSpace(inner[sep+1:]))
 	if inner[sep] == '-' {
-		if !op2.isImm {
-			return 0, operand{}, parseError(line, "cannot subtract a register in address %q", s)
+		if !o.isImm {
+			l.Fail("cannot subtract a register in address %q", s)
 		}
-		op2.imm = -op2.imm
+		o.imm = -o.imm
 	}
-	return r, op2, nil
+	return rs1, o
 }
 
-type parser struct {
-	dataSyms map[string]uint32
-}
-
-// splitOperands splits on commas that are not inside parentheses or
-// brackets.
-func splitOperands(s string) []string {
-	var out []string
-	depth := 0
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(', '[':
-			depth++
-		case ')', ']':
-			depth--
-		case ',':
-			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
-				start = i + 1
-			}
-		}
-	}
-	out = append(out, strings.TrimSpace(s[start:]))
-	return out
-}
-
-func fmt3(op Op, rs1 Reg, o operand, rd Reg, line int) Insn {
-	i := Insn{Op: op, Rs1: rs1, Rd: rd, Line: line}
+func fmt3(op Op, rs1 Reg, o operand, rd Reg) Insn {
+	i := Insn{Op: op, Rs1: rs1, Rd: rd}
 	if o.isImm {
 		i.Imm = true
 		i.SImm = o.imm
@@ -180,273 +118,145 @@ func fmt3(op Op, rs1 Reg, o operand, rd Reg, line int) Insn {
 	return i
 }
 
-// parseLine parses one source line into zero or more instructions,
-// expanding synthetic instructions.
-func (p *parser) parseLine(text string, line int) ([]string, []Insn, error) {
-	// Strip comments.
-	if idx := strings.IndexAny(text, "!#"); idx >= 0 {
-		text = text[:idx]
-	}
-	text = strings.TrimSpace(text)
-
-	var labels []string
-	for {
-		idx := strings.Index(text, ":")
-		if idx < 0 {
-			break
-		}
-		lbl := strings.TrimSpace(text[:idx])
-		if lbl == "" || strings.ContainsAny(lbl, " \t[](),") {
-			break
-		}
-		labels = append(labels, lbl)
-		text = strings.TrimSpace(text[idx+1:])
-	}
-	if text == "" {
-		return labels, nil, nil
-	}
-
-	fields := strings.SplitN(text, " ", 2)
-	mnem := strings.ToLower(strings.TrimSpace(fields[0]))
-	rest := ""
-	if len(fields) == 2 {
-		rest = strings.TrimSpace(fields[1])
-	}
-	args := []string{}
-	if rest != "" {
-		args = splitOperands(rest)
-	}
-
-	need := func(n int) error {
-		if len(args) != n {
-			return parseError(line, "%s expects %d operands, got %d", mnem, n, len(args))
-		}
-		return nil
-	}
-
+// parse turns one lexed line into its instructions, expanding synthetic
+// instructions; it returns none for an unknown mnemonic.
+func (p *parser) parse(l *isa.Line) []Insn {
+	a := l.Args
 	// Branches (with optional ,a annul suffix).
-	base := mnem
-	annul := false
-	if strings.HasSuffix(base, ",a") {
-		base = strings.TrimSuffix(base, ",a")
-		annul = true
-	}
+	base, annul := strings.CutSuffix(l.Mnemonic, ",a")
 	if cond, ok := branchConds[base]; ok {
-		if err := need(1); err != nil {
-			return nil, nil, err
+		if !l.Want(1) {
+			return nil
 		}
-		return labels, []Insn{{Op: OpBranch, Cond: cond, Annul: annul, Target: args[0], Line: line}}, nil
+		return []Insn{{Op: OpBranch, Cond: cond, Annul: annul, Target: l.Label(a[0])}}
 	}
 
-	switch mnem {
+	switch l.Mnemonic {
 	case "nop":
-		return labels, []Insn{{Op: OpSethi, Rd: G0, Imm: true, SImm: 0, Line: line}}, nil
+		return []Insn{{Op: OpSethi, Rd: G0, Imm: true, SImm: 0}}
 
 	case "call":
-		if len(args) < 1 {
-			return nil, nil, parseError(line, "call expects a target")
+		if len(a) < 1 {
+			l.Fail("call expects a target")
+			return nil
 		}
-		return labels, []Insn{{Op: OpCall, Target: args[0], Line: line}}, nil
+		return []Insn{{Op: OpCall, Target: l.Label(a[0])}}
 
 	case "retl":
-		return labels, []Insn{{Op: OpJmpl, Rs1: O7, Imm: true, SImm: 8, Rd: G0, Line: line}}, nil
+		return []Insn{{Op: OpJmpl, Rs1: O7, Imm: true, SImm: 8, Rd: G0}}
 	case "ret":
-		return labels, []Insn{{Op: OpJmpl, Rs1: I7, Imm: true, SImm: 8, Rd: G0, Line: line}}, nil
+		return []Insn{{Op: OpJmpl, Rs1: I7, Imm: true, SImm: 8, Rd: G0}}
 
 	case "mov":
-		if err := need(2); err != nil {
-			return nil, nil, err
+		if !l.Want(2) {
+			return nil
 		}
-		src, err := p.parseOperand(args[0], line)
-		if err != nil {
-			return nil, nil, err
-		}
-		rd, err := ParseReg(args[1])
-		if err != nil {
-			return nil, nil, parseError(line, "%v", err)
-		}
-		return labels, []Insn{fmt3(OpOr, G0, src, rd, line)}, nil
+		return []Insn{fmt3(OpOr, G0, p.operand(l, a[0]), reg(l, a[1]))}
 
 	case "clr":
-		if err := need(1); err != nil {
-			return nil, nil, err
+		if !l.Want(1) {
+			return nil
 		}
-		if strings.HasPrefix(args[0], "[") {
-			rs1, o, err := p.parseAddr(args[0], line)
-			if err != nil {
-				return nil, nil, err
-			}
-			i := fmt3(OpSt, rs1, o, G0, line)
-			return labels, []Insn{i}, nil
+		if strings.HasPrefix(a[0], "[") {
+			rs1, o := p.addr(l, a[0])
+			return []Insn{fmt3(OpSt, rs1, o, G0)}
 		}
-		rd, err := ParseReg(args[0])
-		if err != nil {
-			return nil, nil, parseError(line, "%v", err)
-		}
-		return labels, []Insn{fmt3(OpOr, G0, operand{isImm: true}, rd, line)}, nil
+		return []Insn{fmt3(OpOr, G0, operand{isImm: true}, reg(l, a[0]))}
 
 	case "cmp":
-		if err := need(2); err != nil {
-			return nil, nil, err
+		if !l.Want(2) {
+			return nil
 		}
-		rs1, err := ParseReg(args[0])
-		if err != nil {
-			return nil, nil, parseError(line, "%v", err)
-		}
-		o, err := p.parseOperand(args[1], line)
-		if err != nil {
-			return nil, nil, err
-		}
-		return labels, []Insn{fmt3(OpSubcc, rs1, o, G0, line)}, nil
+		return []Insn{fmt3(OpSubcc, reg(l, a[0]), p.operand(l, a[1]), G0)}
 
 	case "tst":
-		if err := need(1); err != nil {
-			return nil, nil, err
+		if !l.Want(1) {
+			return nil
 		}
-		rs, err := ParseReg(args[0])
-		if err != nil {
-			return nil, nil, parseError(line, "%v", err)
-		}
-		return labels, []Insn{fmt3(OpOrcc, G0, operand{reg: rs}, G0, line)}, nil
+		return []Insn{fmt3(OpOrcc, G0, operand{reg: reg(l, a[0])}, G0)}
 
 	case "inc", "dec":
-		op := OpAdd
-		if mnem == "dec" {
+		if len(a) != 1 && len(a) != 2 {
+			l.Fail("%s expects 1 or 2 operands", l.Mnemonic)
+			return nil
+		}
+		op, amt := OpAdd, int32(1)
+		if l.Mnemonic == "dec" {
 			op = OpSub
 		}
-		var amt int32 = 1
-		var rdArg string
-		switch len(args) {
-		case 1:
-			rdArg = args[0]
-		case 2:
-			v, err := p.parseImm(args[0], line)
-			if err != nil {
-				return nil, nil, err
-			}
-			amt, rdArg = v, args[1]
-		default:
-			return nil, nil, parseError(line, "%s expects 1 or 2 operands", mnem)
+		if len(a) == 2 {
+			amt = p.imm(l, a[0])
 		}
-		rd, err := ParseReg(rdArg)
-		if err != nil {
-			return nil, nil, parseError(line, "%v", err)
-		}
-		return labels, []Insn{fmt3(op, rd, operand{isImm: true, imm: amt}, rd, line)}, nil
+		rd := reg(l, a[len(a)-1])
+		return []Insn{fmt3(op, rd, operand{isImm: true, imm: amt}, rd)}
 
 	case "neg":
-		if err := need(1); err != nil {
-			return nil, nil, err
+		if !l.Want(1) {
+			return nil
 		}
-		rd, err := ParseReg(args[0])
-		if err != nil {
-			return nil, nil, parseError(line, "%v", err)
-		}
-		return labels, []Insn{fmt3(OpSub, G0, operand{reg: rd}, rd, line)}, nil
+		rd := reg(l, a[0])
+		return []Insn{fmt3(OpSub, G0, operand{reg: rd}, rd)}
 
 	case "not":
-		if err := need(1); err != nil {
-			return nil, nil, err
+		if !l.Want(1) {
+			return nil
 		}
-		rd, err := ParseReg(args[0])
-		if err != nil {
-			return nil, nil, parseError(line, "%v", err)
-		}
-		return labels, []Insn{fmt3(OpXnor, rd, operand{reg: G0}, rd, line)}, nil
+		rd := reg(l, a[0])
+		return []Insn{fmt3(OpXnor, rd, operand{reg: G0}, rd)}
 
 	case "set":
-		if err := need(2); err != nil {
-			return nil, nil, err
+		if !l.Want(2) {
+			return nil
 		}
-		v, err := p.symOrNum(args[0], line)
-		if err != nil {
-			return nil, nil, err
-		}
-		rd, err := ParseReg(args[1])
-		if err != nil {
-			return nil, nil, parseError(line, "%v", err)
-		}
+		v, rd := p.symOrNum(l, a[0]), reg(l, a[1])
 		if v >= -4096 && v <= 4095 {
-			return labels, []Insn{fmt3(OpOr, G0, operand{isImm: true, imm: v}, rd, line)}, nil
+			return []Insn{fmt3(OpOr, G0, operand{isImm: true, imm: v}, rd)}
 		}
-		hi := Insn{Op: OpSethi, Rd: rd, Imm: true, SImm: int32(uint32(v) &^ 0x3ff), Line: line}
+		hi := Insn{Op: OpSethi, Rd: rd, Imm: true, SImm: int32(uint32(v) &^ 0x3ff)}
 		lo := int32(uint32(v) & 0x3ff)
 		if lo == 0 {
-			return labels, []Insn{hi}, nil
+			return []Insn{hi}
 		}
-		return labels, []Insn{hi, fmt3(OpOr, rd, operand{isImm: true, imm: lo}, rd, line)}, nil
+		return []Insn{hi, fmt3(OpOr, rd, operand{isImm: true, imm: lo}, rd)}
 
 	case "sethi":
-		if err := need(2); err != nil {
-			return nil, nil, err
+		if !l.Want(2) {
+			return nil
 		}
-		v, err := p.parseImm(args[0], line)
-		if err != nil {
-			return nil, nil, err
-		}
-		rd, err := ParseReg(args[1])
-		if err != nil {
-			return nil, nil, parseError(line, "%v", err)
-		}
-		return labels, []Insn{{Op: OpSethi, Rd: rd, Imm: true, SImm: v, Line: line}}, nil
+		return []Insn{{Op: OpSethi, Imm: true, SImm: p.imm(l, a[0]), Rd: reg(l, a[1])}}
 
 	case "restore":
-		switch len(args) {
+		switch len(a) {
 		case 0:
-			return labels, []Insn{fmt3(OpRestore, G0, operand{reg: G0}, G0, line)}, nil
+			return []Insn{fmt3(OpRestore, G0, operand{reg: G0}, G0)}
 		case 3:
 			// fall through to generic arith below
 		default:
-			return nil, nil, parseError(line, "restore expects 0 or 3 operands")
+			l.Fail("restore expects 0 or 3 operands")
+			return nil
 		}
 	}
 
-	if op, ok := loadMnemonics[mnem]; ok {
-		if err := need(2); err != nil {
-			return nil, nil, err
+	if op, ok := loadMnemonics[l.Mnemonic]; ok {
+		if !l.Want(2) {
+			return nil
 		}
-		rs1, o, err := p.parseAddr(args[0], line)
-		if err != nil {
-			return nil, nil, err
-		}
-		rd, err := ParseReg(args[1])
-		if err != nil {
-			return nil, nil, parseError(line, "%v", err)
-		}
-		return labels, []Insn{fmt3(op, rs1, o, rd, line)}, nil
+		rs1, o := p.addr(l, a[0])
+		return []Insn{fmt3(op, rs1, o, reg(l, a[1]))}
 	}
-	if op, ok := storeMnemonics[mnem]; ok {
-		if err := need(2); err != nil {
-			return nil, nil, err
+	if op, ok := storeMnemonics[l.Mnemonic]; ok {
+		if !l.Want(2) {
+			return nil
 		}
-		rd, err := ParseReg(args[0])
-		if err != nil {
-			return nil, nil, parseError(line, "%v", err)
-		}
-		rs1, o, err := p.parseAddr(args[1], line)
-		if err != nil {
-			return nil, nil, err
-		}
-		return labels, []Insn{fmt3(op, rs1, o, rd, line)}, nil
+		rd := reg(l, a[0])
+		rs1, o := p.addr(l, a[1])
+		return []Insn{fmt3(op, rs1, o, rd)}
 	}
-	if op, ok := arithMnemonics[mnem]; ok {
-		if err := need(3); err != nil {
-			return nil, nil, err
+	if op, ok := arithMnemonics[l.Mnemonic]; ok {
+		if !l.Want(3) {
+			return nil
 		}
-		rs1, err := ParseReg(args[0])
-		if err != nil {
-			return nil, nil, parseError(line, "%v", err)
-		}
-		o, err := p.parseOperand(args[1], line)
-		if err != nil {
-			return nil, nil, err
-		}
-		rd, err := ParseReg(args[2])
-		if err != nil {
-			return nil, nil, parseError(line, "%v", err)
-		}
-		return labels, []Insn{fmt3(op, rs1, o, rd, line)}, nil
+		return []Insn{fmt3(op, reg(l, a[0]), p.operand(l, a[1]), reg(l, a[2]))}
 	}
-
-	return nil, nil, parseError(line, "unknown mnemonic %q", mnem)
+	return nil
 }

@@ -1,9 +1,9 @@
 // Package sparc models the SPARC V8 instruction set: registers (including
 // register windows), the instructions the safety checker understands,
-// the line parser the shared two-pass assembler (isa.Assemble) runs for
-// authoring test inputs, and a binary encoder and decoder for the three
-// 32-bit instruction formats. The safety checker proper consumes
-// decoded machine words, never assembly text.
+// the mnemonic parser the shared two-pass assembler (isa.Assemble) hands
+// each lexed line when authoring test inputs, and a binary encoder and
+// decoder for the three 32-bit instruction formats. The safety checker
+// proper consumes decoded machine words, never assembly text.
 package sparc
 
 import "fmt"
@@ -63,31 +63,4 @@ func (r Reg) String() string {
 		return fmt.Sprintf("%%r%d?", uint8(r))
 	}
 	return regNames[r]
-}
-
-// ParseReg parses a register name such as "%o0", "%sp", or "%fp".
-func ParseReg(s string) (Reg, error) {
-	switch s {
-	case "%sp":
-		return SP, nil
-	case "%fp":
-		return FP, nil
-	}
-	if len(s) != 3 || s[0] != '%' || s[2] < '0' || s[2] > '7' {
-		return 0, fmt.Errorf("sparc: bad register %q", s)
-	}
-	n := Reg(s[2] - '0')
-	switch s[1] {
-	case 'g':
-		return n, nil
-	case 'o':
-		return 8 + n, nil
-	case 'l':
-		return 16 + n, nil
-	case 'i':
-		return 24 + n, nil
-	case 'r':
-		// %r0-%r31 raw numbering is not supported in the assembler.
-	}
-	return 0, fmt.Errorf("sparc: bad register %q", s)
 }

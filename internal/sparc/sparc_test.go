@@ -9,25 +9,6 @@ import (
 	"mcsafe/internal/isa"
 )
 
-func TestParseReg(t *testing.T) {
-	cases := map[string]Reg{
-		"%g0": 0, "%g7": 7, "%o0": 8, "%o7": 15,
-		"%l0": 16, "%l7": 23, "%i0": 24, "%i7": 31,
-		"%sp": 14, "%fp": 30,
-	}
-	for s, want := range cases {
-		got, err := ParseReg(s)
-		if err != nil || got != want {
-			t.Errorf("ParseReg(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	for _, bad := range []string{"%x0", "%o8", "o0", "%o", "%sp1"} {
-		if _, err := ParseReg(bad); err == nil {
-			t.Errorf("ParseReg(%q) should fail", bad)
-		}
-	}
-}
-
 func TestRegString(t *testing.T) {
 	if SP.String() != "%sp" || FP.String() != "%fp" {
 		t.Error("sp/fp aliases wrong")
@@ -126,24 +107,6 @@ func TestAssembleFig1(t *testing.T) {
 	// Instruction 12 is nop.
 	if !insns[12].IsNop() {
 		t.Errorf("insn 12 = %+v not a nop", insns[12])
-	}
-}
-
-func TestAssemblerErrors(t *testing.T) {
-	cases := []string{
-		"frobnicate %o0",           // unknown mnemonic
-		"add %o0,%o1",              // wrong arity
-		"bl nowhere",               // undefined label
-		"ld %o0,%o1",               // load without brackets
-		"add %q0,%o1,%o2",          // bad register
-		"L: add %o0,1,%o1\nL: nop", // duplicate label
-		"",                         // empty program
-		"mov 99999999,%o0",         // immediate out of simm13 for or
-	}
-	for _, src := range cases {
-		if _, err := Arch.Assemble(src, isa.AsmOptions{}); err == nil {
-			t.Errorf("Assemble(%q) should fail", src)
-		}
 	}
 }
 
@@ -339,7 +302,6 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %08x (%+v): %v", w, insn, err)
 		}
-		got.Line = insn.Line
 		if got != insn {
 			t.Fatalf("round trip:\n in  %+v\n out %+v", insn, got)
 		}

@@ -436,3 +436,35 @@ func TestRV32IExecWorlds(t *testing.T) {
 		t.Error("rvSumOOB trapped oob in no world")
 	}
 }
+
+// TestExecByteOrder: a sub-word load of a stored word reads the bytes
+// its architecture puts at the lowest address: the least significant
+// on RV32I (little-endian), the most significant on SPARC (big-endian).
+func TestExecByteOrder(t *testing.T) {
+	cases := []struct {
+		arch, src string
+		want      uint32
+	}{
+		{"rv32i", "f:\n  sw a1, 0(a0)\n  lbu a0, 0(a0)\n  ret\n", 0x44},
+		{"rv32i", "f:\n  sw a1, 0(a0)\n  lhu a0, 0(a0)\n  ret\n", 0x3344},
+		{"rv32i", "f:\n  sb a1, 3(a0)\n  lw a0, 0(a0)\n  ret\n", 0x44000000},
+		{"sparc", "f:\n  st %o1, [%o0]\n  ldub [%o0], %o0\n  retl\n  nop\n", 0x11},
+		{"sparc", "f:\n  st %o1, [%o0]\n  lduh [%o0], %o0\n  retl\n  nop\n", 0x1122},
+		{"sparc", "f:\n  stb %o1, [%o0+3]\n  ld [%o0], %o0\n  retl\n  nop\n", 0x44},
+	}
+	for _, c := range cases {
+		p, err := AssembleArch(c.arch, c.src, nil, "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, conv := isa.NewMachine(p.prog), p.prog.Arch.Conv()
+		m.SetReg(conv.ArgRegs[0], 0x40000)
+		m.SetReg(conv.ArgRegs[1], 0x11223344)
+		if err := m.Run(10); err != nil {
+			t.Fatalf("%s %q: %v", c.arch, c.src, err)
+		}
+		if got := m.Reg(conv.RetReg); got != c.want {
+			t.Errorf("%s %q: read %#x, want %#x", c.arch, c.src, got, c.want)
+		}
+	}
+}
